@@ -18,7 +18,7 @@ from . import serialize
 from .cobracket import axiom_sweep
 from .errors import LbforgeError, MalformedInputError
 from .lagrangian import catalog_w0, dual_basis, is_lagrangian
-from .liealg import build_sl, casimir, jordanian, r_dj, swap2
+from .liealg import basis_element, build_sl, casimir, jordanian, r_dj, swap2
 from .pairing import CaseSpec, admissible_degree, embed_canonical, q_form, validate_case
 from .ratfun import bivar_swap_vars
 from .rmatrix import (
@@ -75,6 +75,7 @@ class RunConfig:
             if name not in ALL_CHECKS:
                 raise ConfigError(f"unknown check {name!r}")
         degree = getattr(args, "degree", None)
+        sweep = getattr(args, "sweep_degree", None)
         return cls(
             algebra=alg,
             spec=spec,
@@ -83,7 +84,7 @@ class RunConfig:
             checks=checks,
             out=getattr(args, "out", None),
             infile=getattr(args, "infile", None),
-            sweep_degree=getattr(args, "sweep_degree", 2),
+            sweep_degree=check_degree(sweep, "sweep degree", 0) if sweep is not None else 2,
         )
 
 
@@ -140,12 +141,17 @@ def parse_constant_r(alg, spec, text: str) -> RKind:
     raise ConfigError(f"unknown constant part {text!r}")
 
 
-def check_degree(n: int) -> int:
-    if n < 1:
-        raise ConfigError("degree must be >= 1")
+def check_degree(n: int, name: str = "degree", low: int = 1) -> int:
+    """Validate a degree option: low <= n, and n <= LBFORGE_MAX_DEGREE if set."""
+    if n < low:
+        raise ConfigError(f"{name} must be >= {low}")
     cap = os.environ.get("LBFORGE_MAX_DEGREE")
-    if cap is not None and n > int(cap):
-        raise ConfigError(f"degree {n} exceeds LBFORGE_MAX_DEGREE={cap}")
+    try:
+        over = cap is not None and n > int(cap)
+    except ValueError:
+        raise ConfigError(f"LBFORGE_MAX_DEGREE must be an integer, got {cap!r}") from None
+    if over:
+        raise ConfigError(f"{name} {n} exceeds LBFORGE_MAX_DEGREE={cap}")
     return n
 
 
@@ -198,20 +204,19 @@ def _check_duality(alg, r, config):
     n = config.degree
     w = catalog_w0(alg, spec)
     duals = dual_basis(alg, w, n)
+    canonical = [(j, l, embed_canonical(spec, basis_element(j), l))
+                 for l in range(n + 1) for j in range(alg.dim)]
     for (i, k, el) in duals:
-        for l in range(n + 1):
-            for j in range(alg.dim):
-                val = q_form(
-                    alg, spec, embed_canonical(spec, Sparse({j: Fraction(1)}), l), el
-                )
-                want = Fraction(1) if (i, k) == (j, l) else Fraction(0)
-                if val != want:
-                    return False, {
-                        "i": f"{alg.basis[j]}*u^{l}",
-                        "j": f"dual({alg.basis[i]}*u^{k})",
-                        "coefficient": serialize.frac_str(val),
-                    }
-    series = sum_dual_series(alg, w, n)
+        for j, l, can in canonical:
+            val = q_form(alg, spec, can, el)
+            want = Fraction(1) if (i, k) == (j, l) else Fraction(0)
+            if val != want:
+                return False, {
+                    "i": f"{alg.basis[j]}*u^{l}",
+                    "j": f"dual({alg.basis[i]}*u^{k})",
+                    "coefficient": serialize.frac_str(val),
+                }
+    series = sum_dual_series(alg, w, n, duals)
     closed = expand_region(r, n)
     if series != closed:
         return False, {"detail": "dual-basis series differs from the tensor expansion"}
@@ -231,7 +236,7 @@ def _check_equiv(alg, r, config):
     spec = config.spec
     if spec is None or spec.a_form != "two-points":
         raise ConfigError("equiv check needs a two-points --case")
-    report = quasi_twist_verify(spec.c1, spec.c2, 1, 2, alg=alg)
+    report = quasi_twist_verify(spec.c1, spec.c2, 1, 2, alg=alg, source=r)
     if report.equal:
         return True, None
     return False, {"detail": "scaling identity failed against the (1,2) family"}

@@ -22,20 +22,23 @@ The pairings are
     II   Q(x, y) = Res_{u=0} u^{-1} a(u) K(f1, f2) - K(x1, y1)
     III  Q(x, y) = Res_{u=0} u^{-2} a(u) K(f1, f2) - K(x3, y2) - K(x2, y3)
 
-with K the trace form extended coefficientwise.  The canonical copy of
-g[u] sits inside the double with finite components read off from the
-value and first derivative at u = 0 (types II and III); this is the
-unique embedding that makes g[u] isotropic.
+with K the trace form extended coefficientwise.  With s = 0, 1, 2 for
+types I, II, III and t_m the Taylor coefficients of a(u), cached on the
+``CaseSpec``, the residue is the direct sum of c1 c2 K(x_i, x_j) t_{s-1-k-l}
+over the loop terms c1 x_i u^k of f1 and c2 x_j u^l of f2 with k + l < s.
+The canonical copy of g[u] sits inside the double with finite components
+read off from the value and first derivative at u = 0 (types II and III);
+this is the unique embedding that makes g[u] isotropic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidParameterError, ShapeMismatchError
-from .liealg import LieAlgebraData
-from .ratfun import RatFun1, laurent_shift, poly1, residue
+from .liealg import LieAlgebraData, form
+from .ratfun import RatFun1, expand_at_zero, poly1
 from .sparse import Sparse
 
 DOUBLE_TYPES = ("I", "II", "III")
@@ -59,6 +62,7 @@ class CaseSpec:
     a_form: str
     c1: Fraction = None
     c2: Fraction = None
+    _taylor: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.double_type not in DOUBLE_TYPES:
@@ -106,6 +110,13 @@ class CaseSpec:
         else:
             den = poly1([1])
         return RatFun1(poly1([1]), den)
+
+    def taylor(self, order: int) -> list:
+        """Taylor coefficients t_0..t_order (at least) of a(u), kept on the
+        instance and grown geometrically, so a(u) is expanded a few times."""
+        if len(self._taylor) <= order:
+            self._taylor[:] = expand_at_zero(self.a(), max(order, 2 * len(self._taylor)))
+        return self._taylor
 
 
 def validate_case(spec: CaseSpec):
@@ -205,36 +216,24 @@ def embed_canonical(spec: CaseSpec, x: Sparse, k: int) -> DoubleElement:
     return el
 
 
-def _scalar_pairs(alg: LieAlgebraData, f1: Sparse, f2: Sparse) -> Sparse:
-    """K(f1(u), f2(u)) as a Laurent scalar."""
-    out = Sparse()
-    for (i, k), c1 in f1.items():
-        for (j, l), c2 in f2.items():
-            g = alg.gram[i][j]
-            if g:
-                out.iadd(k + l, c1 * c2 * g)
-    return out
-
-
-def _form_fin(alg, x: Sparse, y: Sparse) -> Fraction:
-    return sum(
-        (cx * cy * alg.gram[i][j] for i, cx in x.items() for j, cy in y.items()),
-        Fraction(0),
-    )
-
-
 def q_form(alg: LieAlgebraData, spec: CaseSpec, x: DoubleElement, y: DoubleElement):
     """The invariant pairing of the double on two elements."""
     check_shape(spec, x)
     check_shape(spec, y)
-    scalars = _scalar_pairs(alg, x.loop, y.loop)
-    a = spec.a()
-    if spec.double_type == "I":
-        return residue(scalars, a)
+    total = Fraction(0)
+    if x.loop and y.loop:
+        s = DOUBLE_TYPES.index(spec.double_type)
+        top = s - 1 - min(k for _, k in x.loop) - min(l for _, l in y.loop)
+        taylor = spec.taylor(top) if top >= 0 else ()
+        gram = alg.gram
+        for (i, k), c1 in x.loop.items():
+            row = gram[i]
+            for (j, l), c2 in y.loop.items():
+                m = s - 1 - k - l
+                if m >= 0 and row[j]:
+                    total += c1 * c2 * row[j] * taylor[m]
     if spec.double_type == "II":
-        return residue(laurent_shift(scalars, -1), a) - _form_fin(alg, x.fin, y.fin)
-    return (
-        residue(laurent_shift(scalars, -2), a)
-        - _form_fin(alg, x.eps, y.fin)
-        - _form_fin(alg, x.fin, y.eps)
-    )
+        total -= form(alg, x.fin, y.fin)
+    elif spec.double_type == "III":
+        total -= form(alg, x.eps, y.fin) + form(alg, x.fin, y.eps)
+    return total

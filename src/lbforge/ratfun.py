@@ -22,11 +22,6 @@ def poly1(coeffs) -> Sparse:
     return Sparse(coeffs)
 
 
-def poly1_eval(p: Sparse, x) -> Fraction:
-    x = Fraction(x)
-    return sum((c * x**k for k, c in p.items()), Fraction(0))
-
-
 @dataclass(frozen=True)
 class RatFun1:
     """Quotient num/den of univariate polynomials, den nonzero."""
@@ -173,13 +168,6 @@ def bivar(num, den_pow: int = 0) -> BivarRat:
         num = quot
         den_pow -= 1
     return BivarRat(num, den_pow)
-
-
-def bivar_const(c) -> BivarRat:
-    c = Fraction(c)
-    if c == 0:
-        return BivarRat(Sparse(), 0)
-    return BivarRat(Sparse({(0, 0): c}), 0)
 
 
 def poly2_substitute_affine(p: Sparse, pc: Fraction, qc: Fraction) -> Sparse:

@@ -201,11 +201,12 @@ def expand_region(r: SpectralTensor2, order: int):
     return out
 
 
-def sum_dual_series(alg, w: WPresentation, order: int):
+def sum_dual_series(alg, w: WPresentation, order: int, duals=None):
     """sum over canonical basis vectors of x u^k (x) dual, dual projected
-    onto the loop and written in the second variable."""
+    onto the loop and written in the second variable.  ``duals`` is
+    ``dual_basis(alg, w, order)`` when the caller has already solved it."""
     out = {}
-    for (i, k, el) in dual_basis(alg, w, order):
+    for (i, k, el) in duals if duals is not None else dual_basis(alg, w, order):
         for (j, d), c in el.loop.items():
             terms = out.setdefault((i, j), Sparse())
             terms.iadd((k, d), c)

@@ -21,7 +21,8 @@ class Sparse(dict):
             self.iadd(k, v)
 
     def iadd(self, key, value):
-        value = Fraction(value)
+        if type(value) is not Fraction:
+            value = Fraction(value)
         total = self.get(key, 0) + value
         if total == 0:
             self.pop(key, None)
@@ -72,13 +73,6 @@ def poly_mul(p: Sparse, q: Sparse) -> Sparse:
     for k1, c1 in p.items():
         for k2, c2 in q.items():
             out.iadd(mono_mul(k1, k2), c1 * c2)
-    return out
-
-
-def poly_pow(p: Sparse, n: int, one_key) -> Sparse:
-    out = Sparse({one_key: Fraction(1)})
-    for _ in range(n):
-        out = poly_mul(out, p)
     return out
 
 

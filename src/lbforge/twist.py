@@ -93,18 +93,22 @@ class TwistReport:
     equal: bool
 
 
-def quasi_twist_verify(c1, c2, d1, d2, alg: LieAlgebraData = None) -> TwistReport:
+def quasi_twist_verify(
+    c1, c2, d1, d2, alg: LieAlgebraData = None, source: SpectralTensor2 = None
+) -> TwistReport:
     """Check the scaling identity between two two-point families.
 
     Both sides are built over sl_2 (or a supplied algebra) with the
-    Drinfeld-Jimbo constant part; equality is exact.
+    Drinfeld-Jimbo constant part; equality is exact.  A given ``source``
+    (a tensor read from a file) is transformed in place of the (c1, c2) one.
     """
     alg = alg or build_sl(2)
     ch = solve_pq(c1, c2, d1, d2)
     scale = scaling_constant(c1, c2, ch)
     rk = RKind.mcybe(alg, r_dj(alg))
     target = build_r(alg, CaseSpec("I", "two-points", Fraction(d1), Fraction(d2)), rk)
-    source = build_r(alg, CaseSpec("I", "two-points", Fraction(c1), Fraction(c2)), rk)
+    if source is None:
+        source = build_r(alg, CaseSpec("I", "two-points", Fraction(c1), Fraction(c2)), rk)
     transformed = scale * substitute_affine_tensor(source, ch)
     return TwistReport(change=ch, scale=scale, equal=(transformed == target))
 

@@ -203,6 +203,55 @@ def test_verify_corrupted_coefficient(tmp_path, capsys):
     assert failing and all("witness" in c for c in failing)
 
 
+def test_verify_equiv_examines_the_file(tmp_path, capsys):
+    out = build_file(tmp_path)
+    doc = json.loads(out.read_text())
+    doc["entries"][1]["num"][0][2] = "9/7"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    report = tmp_path / "rep.json"
+    argv = ["verify", "--in", str(bad), "--case", "I:two-points:1,2",
+            "--checks", "equiv", "--out", str(report)]
+    assert main(argv) == 1
+    (check,) = json.loads(report.read_text())["checks"]
+    assert check["check"] == "equiv" and not check["pass"] and "witness" in check
+
+
+def test_duality_solves_dual_basis_once(tmp_path, monkeypatch):
+    import lbforge.cli
+    import lbforge.rmatrix
+
+    real = lbforge.cli.dual_basis
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lbforge.cli, "dual_basis", counting)
+    monkeypatch.setattr(lbforge.rmatrix, "dual_basis", counting)
+    out = build_file(tmp_path)
+    argv = ["verify", "--in", str(out), "--case", "I:two-points:1,2",
+            "--checks", "duality", "--degree", "3"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_verify_sweep_degree_validated(tmp_path, monkeypatch):
+    out = build_file(tmp_path)
+    argv = ["verify", "--in", str(out), "--case", "I:two-points:1,2",
+            "--checks", "delta-axioms", "--degree", "4"]
+    assert main(argv + ["--sweep-degree", "-1"]) == 2
+    monkeypatch.setenv("LBFORGE_MAX_DEGREE", "4")
+    assert main(argv + ["--sweep-degree", "5"]) == 2
+
+
+def test_bad_max_degree_env_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("LBFORGE_MAX_DEGREE", "four")
+    assert main(["dualbasis", "--case", "I:constant", "--degree", "3"]) == 2
+    assert "LBFORGE_MAX_DEGREE" in capsys.readouterr().err
+
+
 def test_verify_malformed_json(tmp_path, capsys):
     bad = tmp_path / "garbage.json"
     bad.write_text("{broken")

@@ -15,7 +15,7 @@ from lbforge.pairing import (
     q_form,
     validate_case,
 )
-from lbforge.ratfun import expand_at_zero
+from lbforge.ratfun import expand_at_zero, laurent_shift, residue
 from lbforge.sparse import Sparse
 
 ALG = build_sl(2)
@@ -57,6 +57,17 @@ def test_a_normalization():
     for text in ALL_CASES:
         a = CaseSpec.parse(text).a()
         assert expand_at_zero(a, 0) == [1]
+
+
+@pytest.mark.parametrize("text", ALL_CASES)
+def test_taylor_cache_matches_expansion(text):
+    spec = CaseSpec.parse(text)
+    for order in (0, 3, 1, 17, 40):
+        got = spec.taylor(order)
+        assert len(got) > order
+        assert got == expand_at_zero(spec.a(), len(got) - 1)
+    assert spec == CaseSpec.parse(text) and hash(spec) == hash(CaseSpec.parse(text))
+    assert repr(spec) == repr(CaseSpec.parse(text))
 
 
 # -- degree table -------------------------------------------------------------
@@ -182,6 +193,50 @@ def test_q_form_symmetric_and_bilinear(text, data):
     assert q_form(ALG, spec, x, y) == q_form(ALG, spec, y, x)
     lhs = q_form(ALG, spec, x + c * y, z)
     assert lhs == q_form(ALG, spec, x, z) + c * q_form(ALG, spec, y, z)
+
+
+def _k_laurent(f1: Sparse, f2: Sparse) -> Sparse:
+    """K(f1(u), f2(u)) as a Laurent scalar, straight from the Gram matrix."""
+    out = Sparse()
+    for (i, k), c1 in f1.items():
+        for (j, l), c2 in f2.items():
+            out.iadd(k + l, c1 * c2 * ALG.gram[i][j])
+    return out
+
+
+def _k_const(x: Sparse, y: Sparse):
+    """K(x, y) on finite summands, as the u^0 term of their constant loops."""
+    loops = [Sparse(((i, 0), c) for i, c in z.items()) for z in (x, y)]
+    return _k_laurent(*loops).get(0, Fraction(0))
+
+
+def _reference_q_form(spec, x, y):
+    """The pairing from its definition, via residue and laurent_shift."""
+    s = ("I", "II", "III").index(spec.double_type)
+    value = residue(laurent_shift(_k_laurent(x.loop, y.loop), -s), spec.a())
+    if spec.double_type == "II":
+        value -= _k_const(x.fin, y.fin)
+    elif spec.double_type == "III":
+        value -= _k_const(x.eps, y.fin) + _k_const(x.fin, y.eps)
+    return value
+
+
+@pytest.mark.parametrize("text", ALL_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_q_form_matches_residue_oracle(text, data):
+    spec = CaseSpec.parse(text)
+    if spec.a_form == "two-points":
+        consts = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        c1 = data.draw(consts.filter(bool))
+        c2 = data.draw(consts.filter(lambda c: c and c != c1))
+        spec = CaseSpec("I", "two-points", c1, c2)
+    degrees = list(range(-7, 5))
+    # one spec serves every pair, so the cached series is extended mid-test
+    for _ in range(3):
+        x = _random_element(data.draw, spec, degrees)
+        y = _random_element(data.draw, spec, degrees)
+        assert q_form(ALG, spec, x, y) == _reference_q_form(spec, x, y)
 
 
 @pytest.mark.parametrize("text", ALL_CASES)
