@@ -74,17 +74,22 @@ class RunConfig:
         for name in checks:
             if name not in ALL_CHECKS:
                 raise ConfigError(f"unknown check {name!r}")
-        degree = getattr(args, "degree", None)
-        sweep = getattr(args, "sweep_degree", None)
+        degree = getattr(args, "degree", 6)
+        sweep = getattr(args, "sweep_degree", 2)
+        # verify bounds a degree only when a requested check uses it
+        if args.command == "dualbasis" or "duality" in checks:
+            check_degree(degree)
+        if "delta-axioms" in checks:
+            check_degree(sweep, "sweep degree", 0)
         return cls(
             algebra=alg,
             spec=spec,
             constant_r=getattr(args, "r", None),
-            degree=check_degree(degree) if degree is not None else 6,
+            degree=degree,
             checks=checks,
             out=getattr(args, "out", None),
             infile=getattr(args, "infile", None),
-            sweep_degree=check_degree(sweep, "sweep degree", 0) if sweep is not None else 2,
+            sweep_degree=sweep,
         )
 
 

@@ -16,27 +16,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidParameterError, NotPolynomialError
-from .liealg import LieAlgebraData, bracket_basis
-from .ratfun import poly2_divide_vu
+from .liealg import LieAlgebraData, bracket_basis, bracket_poly
+from .ratfun import mul_vu_pow, poly2_divide_vu
 from .rmatrix import SpectralTensor2
-from .sparse import Sparse, poly_mul
+from .sparse import Sparse
 
 
 def g_poly(x: Sparse, degree: int = 0) -> Sparse:
     """x * u^degree as an element of g[u]."""
     return Sparse((((i, degree), c) for i, c in x.items()))
-
-
-def bracket_poly(alg, f: Sparse, g: Sparse) -> Sparse:
-    """Bracket of two g[u] elements."""
-    out = Sparse()
-    for (i, a), ci in f.items():
-        for (j, b), cj in g.items():
-            sc = alg.struct.get((i, j))
-            if sc:
-                for k, ck in sc.items():
-                    out.iadd((k, a + b), ci * cj * ck)
-    return out
 
 
 def delta(alg: LieAlgebraData, r: SpectralTensor2, f: Sparse):
@@ -67,10 +55,7 @@ def delta(alg: LieAlgebraData, r: SpectralTensor2, f: Sparse):
         total = Sparse()
         top = max(by_pow)
         for pow_, num in by_pow.items():
-            lifted = num
-            for _ in range(top - pow_):
-                lifted = poly_mul(lifted, _VU)
-            total = total + lifted
+            total = total + mul_vu_pow(num, top - pow_)
         for _ in range(top):
             quot, rem = poly2_divide_vu(total)
             if not rem.is_zero():
@@ -81,9 +66,6 @@ def delta(alg: LieAlgebraData, r: SpectralTensor2, f: Sparse):
         if total:
             out[key] = total
     return out
-
-
-_VU = Sparse({(0, 1): Fraction(1), (1, 0): Fraction(-1)})
 
 
 def _acc_add(acc, key, den_pow, num):

@@ -22,7 +22,7 @@ from .errors import (
     NotTransversalError,
     ShapeMismatchError,
 )
-from .liealg import LieAlgebraData, basis_element, bracket, form
+from .liealg import LieAlgebraData, basis_element, bracket, bracket_poly, form
 from .pairing import CaseSpec, DoubleElement, embed_canonical, q_form
 from .ratfun import poly1
 from .sparse import RowSpan, Sparse, gauss_solve
@@ -269,13 +269,7 @@ def _de_coords(x: DoubleElement) -> Sparse:
 def de_bracket(alg, spec, x: DoubleElement, y: DoubleElement) -> DoubleElement:
     """Bracket of the double: componentwise loop bracket plus the finite
     (or dual-number) bracket."""
-    loop = Sparse()
-    for (i, a), ci in x.loop.items():
-        for (j, b), cj in y.loop.items():
-            sc = alg.struct.get((i, j))
-            if sc:
-                for k, ck in sc.items():
-                    loop.iadd((k, a + b), ci * cj * ck)
+    loop = bracket_poly(alg, x.loop, y.loop)
     if spec.double_type == "I":
         return DoubleElement(loop)
     if spec.double_type == "II":

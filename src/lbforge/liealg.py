@@ -153,6 +153,21 @@ def bracket(alg: LieAlgebraData, x: Sparse, y: Sparse) -> Sparse:
     return out
 
 
+def bracket_poly(alg: LieAlgebraData, f: Sparse, g: Sparse) -> Sparse:
+    """Bracket of two loop elements, keyed (basis index, degree in u).
+
+    Degrees may be negative, so this serves g[u] and g[u, u^{-1}] alike.
+    """
+    out = Sparse()
+    for (i, a), ci in f.items():
+        for (j, b), cj in g.items():
+            sc = alg.struct.get((i, j))
+            if sc:
+                for k, ck in sc.items():
+                    out.iadd((k, a + b), ci * cj * ck)
+    return out
+
+
 def bracket_basis(alg: LieAlgebraData, i: int, j: int) -> Sparse:
     return alg.struct.get((i, j), Sparse())
 

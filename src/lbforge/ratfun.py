@@ -33,11 +33,6 @@ class RatFun1:
         if self.den.is_zero():
             raise ZeroDivisionError("zero denominator")
 
-    def at_zero(self) -> Fraction:
-        if self.den.get(0, 0) == 0:
-            raise PoleAtZeroError("denominator vanishes at u = 0")
-        return self.num.get(0, Fraction(0)) / self.den[0]
-
 
 def ratfun1(num, den=(1,)) -> RatFun1:
     return RatFun1(poly1(num), poly1(den))
@@ -125,8 +120,8 @@ class BivarRat:
 
     def __add__(self, other):
         k = max(self.den_pow, other.den_pow)
-        a = _raise_pow(self.num, k - self.den_pow)
-        b = _raise_pow(other.num, k - other.den_pow)
+        a = mul_vu_pow(self.num, k - self.den_pow)
+        b = mul_vu_pow(other.num, k - other.den_pow)
         return bivar(a + b, k)
 
     def __sub__(self, other):
@@ -150,7 +145,8 @@ class BivarRat:
 _VU = Sparse({(0, 1): Fraction(1), (1, 0): Fraction(-1)})  # v - u
 
 
-def _raise_pow(num: Sparse, extra: int) -> Sparse:
+def mul_vu_pow(num: Sparse, extra: int) -> Sparse:
+    """num(u, v) * (v - u)^extra."""
     for _ in range(extra):
         num = poly_mul(num, _VU)
     return num

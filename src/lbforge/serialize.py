@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import LbforgeError, MalformedInputError
 from .liealg import LieAlgebraData, build_sl
 from .pairing import DoubleElement
-from .ratfun import BivarRat
+from .ratfun import bivar
 from .rmatrix import SpectralTensor2
 from .sparse import Sparse
 
@@ -74,14 +74,19 @@ def tensor_from_doc(doc):
             i = index[entry["i"]]
             j = index[entry["j"]]
             num = Sparse()
+            where = f"entry ({entry['i']}, {entry['j']})"
             for a, b, c in entry["num"]:
-                num.iadd((int(a), int(b)), parse_frac(c))
+                a, b = int(a), int(b)
+                if a < 0 or b < 0:
+                    raise MalformedInputError(f"negative exponent in {where}")
+                num.iadd((a, b), parse_frac(c))
+            den_power = int(entry["den_power"])
+            if den_power < 0:
+                raise MalformedInputError(f"negative den_power in {where}")
             scale = parse_frac(entry.get("den_scale", "1"))
             if scale == 0:
                 raise MalformedInputError("zero denominator scale")
-            r.add_entry(
-                (i, j), BivarRat((1 / scale) * num, int(entry["den_power"]))
-            )
+            r.add_entry((i, j), bivar((1 / scale) * num, den_power))
         return alg, r
     except MalformedInputError:
         raise

@@ -1,8 +1,13 @@
-"""Sparse vectors over exact rationals, plus exact Gaussian elimination.
+"""Sparse vectors over exact rationals, and lbforge's one exact Gauss-Jordan
+elimination.
 
 A ``Sparse`` is a dict from arbitrary hashable keys to nonzero ``Fraction``
 values; the zero vector is the empty dict.  Keys are basis indices, exponents,
 exponent tuples, or coordinate tags -- the semantics live in the callers.
+
+``RowSpan`` keeps a row space in reduced row echelon form; it serves the
+membership and rank tests of the Lagrangian checks, and ``gauss_solve``
+solves dense linear systems by feeding it the augmented rows.
 """
 
 from __future__ import annotations
@@ -83,100 +88,59 @@ def gauss_solve(rows, rhs):
     of Fractions.  Returns the n x t solution matrix, ``None`` if the system
     is inconsistent, and raises ``ValueError`` when the solution is not
     unique (rank below the number of unknowns).
+
+    The augmented rows [A | b] go into a ``RowSpan`` whose keys put the
+    unknowns 0..n-1 before the right-hand sides n..n+t-1; a pivot among the
+    right-hand sides means 0 = b != 0, and otherwise x_c is read off the
+    row whose pivot is c.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    n = len(rows[0]) if rows else 0
     t = len(rhs[0]) if rhs and rhs[0] is not None else 0
-    a = [[Fraction(x) for x in row] for row in rows]
-    b = [[Fraction(x) for x in row] for row in rhs]
-
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        b[r], b[pivot] = b[pivot], b[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        b[r] = [x * inv for x in b[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                b[i] = [x - f * y for x, y in zip(b[i], b[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if any(x != 0 for x in b[i]):
-            return None
-    if len(pivot_cols) < n:
+    span = RowSpan()
+    for a, b in zip(rows, rhs):
+        span.add(Sparse((k, v) for k, v in enumerate([*a, *b]) if v))
+    if any(piv >= n for piv in span._rows):
+        return None
+    if span.dim < n:
         raise ValueError("underdetermined system")
-    x = [[Fraction(0)] * t for _ in range(n)]
-    for i, col in enumerate(pivot_cols):
-        x[col] = b[i]
-    return x
-
-
-def matrix_rank(rows) -> int:
-    a = [[Fraction(x) for x in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    return [
+        [span._rows[c].get(n + j, Fraction(0)) for j in range(t)]
+        for c in range(n)
+    ]
 
 
 class RowSpan:
     """Incremental row space over arbitrary coordinate keys.
 
-    Maintains reduced rows keyed by pivot, so membership of further vectors
-    can be tested by exact reduction.
+    The rows are kept fully reduced (reduced row echelon form): each is 1 at
+    its own pivot and 0 at every other row's pivot, so a vector reduces in
+    one pass over the pivots it holds.  A new row's pivot is its least key
+    under ``key_order`` (natural order when none is given).
     """
 
     def __init__(self, key_order=None):
-        self._rows = {}
-        self._key_order = key_order or (lambda k: repr(k))
-
-    def _pick_pivot(self, vec: Sparse):
-        return min(vec, key=self._key_order)
+        self._rows = {}  # pivot key -> row
+        self._key_order = key_order
 
     def reduce(self, vec: Sparse) -> Sparse:
-        vec = Sparse(vec)
-        while vec:
-            piv = self._pick_pivot(vec)
-            row = self._rows.get(piv)
-            if row is None:
-                return vec
-            vec = vec - vec[piv] * row
-        return vec
+        """vec minus its combination of stored rows: 0 at every pivot."""
+        out = Sparse(vec)
+        for piv in [k for k in vec if k in self._rows]:
+            # rows vanish at each other's pivots, so out[piv] is still vec[piv]
+            _sub_multiple(out, out[piv], self._rows[piv])
+        return out
 
     def add(self, vec: Sparse) -> bool:
         """Insert a vector; returns True if it enlarged the span."""
         residual = self.reduce(vec)
         if residual.is_zero():
             return False
-        piv = self._pick_pivot(residual)
+        piv = min(residual, key=self._key_order)
         residual = (1 / residual[piv]) * residual
-        for other_piv, row in self._rows.items():
-            if piv in row:
-                self._rows[other_piv] = row - row[piv] * residual
+        for row in self._rows.values():
+            c = row.get(piv)
+            if c:
+                _sub_multiple(row, c, residual)
         self._rows[piv] = residual
         return True
 
@@ -186,3 +150,9 @@ class RowSpan:
     @property
     def dim(self) -> int:
         return len(self._rows)
+
+
+def _sub_multiple(vec: Sparse, c, row: Sparse):
+    """vec -= c * row, in place."""
+    for k, v in row.items():
+        vec.iadd(k, -c * v)

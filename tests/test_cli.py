@@ -8,7 +8,7 @@ from lbforge.liealg import build_sl
 from lbforge.pairing import CaseSpec
 from lbforge.ratfun import BivarRat, bivar, poly2
 from lbforge.rmatrix import SpectralTensor2, build_r, catalog_rkind
-from lbforge.sparse import Sparse
+from lbforge.sparse import Sparse, poly_mul
 
 ALG = build_sl(2)
 
@@ -104,6 +104,47 @@ def test_den_scale_folds_on_parse():
 
 
 # -- build --------------------------------------------------------------------
+
+def _with_entry(tmp_path, edit):
+    """A built sl_2 two-points file with its first entry changed by ``edit``."""
+    doc = json.loads(build_file(tmp_path).read_text())
+    edit(doc["entries"][0])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_negative_exponent_is_malformed(tmp_path, capsys):
+    def edit(entry):
+        entry["num"][0][0] = -7
+
+    path = _with_entry(tmp_path, edit)
+    argv = ["verify", "--in", str(path), "--case", "I:two-points:1,2", "--checks", "equiv"]
+    assert main(argv) == 3
+    assert "negative exponent" in capsys.readouterr().err
+
+
+def test_negative_den_power_is_malformed(tmp_path, capsys):
+    def edit(entry):
+        entry["den_power"] = -1
+
+    assert main(["verify", "--in", str(_with_entry(tmp_path, edit))]) == 3
+    assert "negative den_power" in capsys.readouterr().err
+
+
+def test_loaded_entries_are_in_lowest_terms(tmp_path):
+    def edit(entry):
+        # multiply the entry by (v - u)/(v - u)
+        num = Sparse({(a, b): Fraction(c) for a, b, c in entry["num"]})
+        wider = poly_mul(num, poly2({(0, 1): 1, (1, 0): -1}))
+        entry["num"] = [[a, b, str(c)] for (a, b), c in sorted(wider.items())]
+        entry["den_power"] += 1
+
+    path = _with_entry(tmp_path, edit)
+    _, loaded = serialize.tensor_from_doc(json.loads(path.read_text()))
+    spec = CaseSpec.parse("I:two-points:1,2")
+    assert loaded == build_r(ALG, spec, catalog_rkind(ALG, spec))
+
 
 def test_build_writes_vu_denominators(tmp_path):
     out = build_file(tmp_path)
@@ -244,6 +285,22 @@ def test_verify_sweep_degree_validated(tmp_path, monkeypatch):
     assert main(argv + ["--sweep-degree", "-1"]) == 2
     monkeypatch.setenv("LBFORGE_MAX_DEGREE", "4")
     assert main(argv + ["--sweep-degree", "5"]) == 2
+
+
+def test_verify_degree_cap_applies_to_checks_that_use_it(tmp_path, monkeypatch):
+    out = build_file(tmp_path)
+    monkeypatch.setenv("LBFORGE_MAX_DEGREE", "4")
+    assert main(["verify", "--in", str(out), "--checks", "cybe"]) == 0
+    monkeypatch.setenv("LBFORGE_MAX_DEGREE", "1")
+    assert main(["verify", "--in", str(out), "--checks", "cybe", "--degree", "1"]) == 0
+
+
+def test_verify_duality_degree_is_capped(tmp_path, monkeypatch):
+    out = build_file(tmp_path)
+    monkeypatch.setenv("LBFORGE_MAX_DEGREE", "4")
+    argv = ["verify", "--in", str(out), "--case", "I:two-points:1,2", "--checks", "duality"]
+    assert main(argv) == 2
+    assert main(argv + ["--degree", "3"]) == 0
 
 
 def test_bad_max_degree_env_is_config_error(monkeypatch, capsys):

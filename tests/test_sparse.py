@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbforge.sparse import RowSpan, Sparse, gauss_solve, matrix_rank, poly_mul
+from lbforge.sparse import RowSpan, Sparse, gauss_solve, poly_mul
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 vectors = st.dictionaries(st.integers(min_value=0, max_value=6), fracs, max_size=5)
@@ -62,13 +62,74 @@ def test_gauss_solve_underdetermined_raises():
         gauss_solve(a, b)
 
 
-def test_matrix_rank():
+def test_row_span_dim_is_rank():
     rows = [
         [Fraction(1), Fraction(2), Fraction(3)],
         [Fraction(2), Fraction(4), Fraction(6)],
         [Fraction(0), Fraction(1), Fraction(0)],
     ]
-    assert matrix_rank(rows) == 2
+    span = RowSpan()
+    for row in rows:
+        span.add(Sparse(enumerate(row)))
+    assert span.dim == 2
+
+
+@given(st.lists(vectors, max_size=8))
+def test_row_span_rows_stay_fully_reduced(vecs):
+    span = RowSpan()
+    for vec in vecs:
+        span.add(Sparse(vec))
+        for piv, row in span._rows.items():
+            assert row[piv] == 1
+            assert all(other not in row for other in span._rows if other != piv)
+
+
+# cheaper to draw than ``fracs``, which matters for whole matrices
+entries = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+
+
+@st.composite
+def full_rank_systems(draw):
+    """(A, X): A is m x n of full column rank, X is n x t.
+
+    A is a row-shuffled [U; R], U upper triangular with a nonzero diagonal,
+    times a unit lower-triangular L, so rank(A) = n by construction.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = n + draw(st.integers(min_value=0, max_value=3))
+    t = draw(st.integers(min_value=1, max_value=3))
+
+    def matrix(rows, cols):
+        flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+
+    diag = draw(st.lists(entries.filter(bool), min_size=n, max_size=n))
+    u = [[x if j > i else Fraction(0) for j, x in enumerate(row)]
+         for i, row in enumerate(matrix(n, n))]
+    low = [[x if j < i else Fraction(0) for j, x in enumerate(row)]
+           for i, row in enumerate(matrix(n, n))]
+    for i in range(n):
+        u[i][i] = diag[i]
+        low[i][i] = Fraction(1)
+    stacked = draw(st.permutations(u + matrix(m - n, n)))
+    return _matmul(stacked, low), matrix(n, t)
+
+
+def _matmul(a, b):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+         for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@given(full_rank_systems())
+def test_gauss_solve_recovers_full_rank_solutions(system):
+    a, x = system
+    b = _matmul(a, x)
+    sol = gauss_solve(a, b)
+    assert sol == x
+    assert _matmul(a, sol) == b
 
 
 def test_row_span_membership():
