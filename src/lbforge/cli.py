@@ -98,8 +98,15 @@ def parse_algebra(text: str):
     if len(parts) != 2 or parts[0] != "A":
         raise ConfigError(f"unsupported algebra {text!r}; expected A:n")
     try:
-        return build_sl(int(parts[1]))
-    except (ValueError, LbforgeError) as exc:
+        n = int(parts[1])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    cap = env_cap("LBFORGE_MAX_RANK")
+    if cap is not None and n > cap:
+        raise ConfigError(f"rank {n} exceeds LBFORGE_MAX_RANK={cap}")
+    try:
+        return build_sl(n)
+    except LbforgeError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -146,16 +153,23 @@ def parse_constant_r(alg, spec, text: str) -> RKind:
     raise ConfigError(f"unknown constant part {text!r}")
 
 
+def env_cap(name: str):
+    """The integer value of the environment variable name, None if unset."""
+    cap = os.environ.get(name)
+    if cap is None:
+        return None
+    try:
+        return int(cap)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {cap!r}") from None
+
+
 def check_degree(n: int, name: str = "degree", low: int = 1) -> int:
     """Validate a degree option: low <= n, and n <= LBFORGE_MAX_DEGREE if set."""
     if n < low:
         raise ConfigError(f"{name} must be >= {low}")
-    cap = os.environ.get("LBFORGE_MAX_DEGREE")
-    try:
-        over = cap is not None and n > int(cap)
-    except ValueError:
-        raise ConfigError(f"LBFORGE_MAX_DEGREE must be an integer, got {cap!r}") from None
-    if over:
+    cap = env_cap("LBFORGE_MAX_DEGREE")
+    if cap is not None and n > cap:
         raise ConfigError(f"{name} {n} exceeds LBFORGE_MAX_DEGREE={cap}")
     return n
 
@@ -258,7 +272,7 @@ _CHECKS = {
 
 def cmd_verify(args) -> int:
     doc = serialize.load(args.infile)
-    alg, r = serialize.tensor_from_doc(doc)
+    alg, r = serialize.tensor_from_doc(doc, env_cap("LBFORGE_MAX_RANK"))
     config = RunConfig.from_args(args)
     config.algebra = alg  # the tensor file owns the algebra
     results = []

@@ -75,82 +75,158 @@ def _acc_add(acc, key, den_pow, num):
     by_pow[den_pow] = by_pow.get(den_pow, Sparse()) + num
 
 
-def poly_tensor_eq(a, b) -> bool:
-    keys = set(a) | set(b)
-    return all(a.get(k, Sparse()) == b.get(k, Sparse()) for k in keys)
+def poly_tensor_eq(a, b, sign: int = 1) -> bool:
+    """a == sign * b for polynomial tensors; sign is 1 or -1."""
+    empty = Sparse()
+    for k in set(a) | set(b):
+        p, q = a.get(k, empty), b.get(k, empty)
+        if p.keys() != q.keys():
+            return False
+        if any(c != (q[m] if sign == 1 else -q[m]) for m, c in p.items()):
+            return False
+    return True
 
 
-def check_skew(alg, r, f) -> bool:
-    """delta(f)(u, v) + swap-legs(delta(f))(v, u) == 0."""
-    d = delta(alg, r, f)
+class BasisCobrackets:
+    """delta for one r, computed once per basis monomial x_i u^k.
+
+    ``basis((i, k))`` is delta(alg, r, x_i u^k); calling the instance on
+    any f in g[u] gives delta(f) as the sum of c * delta(x_i u^k) over the
+    terms of f.  A basis cobracket that is not polynomial is stored as
+    None, once, and every delta that needs it is None too.  The returned
+    tensors may be the stored ones: callers must not mutate them.
+    """
+
+    def __init__(self, alg: LieAlgebraData, r: SpectralTensor2):
+        self.alg = alg
+        self.r = r
+        self._memo = {}
+
+    def basis(self, key):
+        if key not in self._memo:
+            try:
+                self._memo[key] = delta(self.alg, self.r, Sparse({key: Fraction(1)}))
+            except NotPolynomialError:
+                self._memo[key] = None
+        return self._memo[key]
+
+    def __call__(self, f: Sparse):
+        if len(f) == 1:
+            (key, c), = f.items()
+            if c == 1:
+                return self.basis(key)
+        out = {}
+        for key, c in f.items():
+            d = self.basis(key)
+            if d is None:
+                return None
+            for pair, p in d.items():
+                _add_into(out, pair, ((mono, c * cm) for mono, cm in p.items()))
+        return {pair: p for pair, p in out.items() if p}
+
+
+def _add_into(out: dict, key, terms):
+    """Add the (monomial, coefficient) terms to the polynomial out[key]."""
+    acc = out.get(key)
+    if acc is None:
+        acc = out[key] = Sparse()
+    for mono, c in terms:
+        acc.iadd(mono, c)
+
+
+def _direct(alg, r):
+    """delta(alg, r, .) on whole elements, None where it is not polynomial."""
+
+    def cobracket(f):
+        try:
+            return delta(alg, r, f)
+        except NotPolynomialError:
+            return None
+
+    return cobracket
+
+
+def check_skew(alg, r, f, df=None) -> bool:
+    """delta(f)(u, v) + swap-legs(delta(f))(v, u) == 0.
+
+    ``df`` is delta(f) if already computed; a non-polynomial delta(f)
+    fails the check.
+    """
+    d = _direct(alg, r)(f) if df is None else df
+    if d is None:
+        return False
     total = {}
     for (i, j), p in d.items():
-        total[(i, j)] = total.get((i, j), Sparse()) + p
-        swapped = Sparse((((b, a), c) for (a, b), c in p.items()))
-        total[(j, i)] = total.get((j, i), Sparse()) + swapped
+        _add_into(total, (i, j), p.items())
+        _add_into(total, (j, i), (((b, a), c) for (a, b), c in p.items()))
     return all(p.is_zero() for p in total.values())
 
 
-def _ad_poly_tensor2(alg, f: Sparse, t: dict) -> dict:
-    """[f(u) (x) 1 + 1 (x) f(v), t] for polynomial 2-tensors t."""
-    out = {}
+def _ad_into(alg, out: dict, f: Sparse, t: dict, sign: int) -> None:
+    """Add sign * [f(u) (x) 1 + 1 (x) f(v), t] to out, for polynomial 2-tensors t."""
     for (i, j), p in t.items():
         for (x, d), cf in f.items():
+            cf = sign * cf
             for m, cm in bracket_basis(alg, x, i).items():
-                shifted = Sparse((((a + d, b), c * cf * cm) for (a, b), c in p.items()))
-                out[(m, j)] = out.get((m, j), Sparse()) + shifted
+                s = cf * cm
+                _add_into(out, (m, j), (((a + d, b), c * s) for (a, b), c in p.items()))
             for m, cm in bracket_basis(alg, x, j).items():
-                shifted = Sparse((((a, b + d), c * cf * cm) for (a, b), c in p.items()))
-                out[(i, m)] = out.get((i, m), Sparse()) + shifted
-    return {k: v for k, v in out.items() if v}
+                s = cf * cm
+                _add_into(out, (i, m), (((a, b + d), c * s) for (a, b), c in p.items()))
 
 
-def check_cocycle(alg, r, f, g, df=None, dg=None) -> bool:
+def check_cocycle(alg, r, f, g, df=None, dg=None, cobracket=None, both_orders=False):
     """delta([f, g]) == [f.., delta(g)] - [g.., delta(f)].
 
-    Precomputed cobrackets may be passed to amortize sweeps.
+    Precomputed cobrackets may be passed to amortize sweeps: ``df`` and
+    ``dg``, or ``cobracket``, a map from elements to their delta (None
+    where it is not polynomial; a non-polynomial delta fails the check).
+    With ``both_orders`` the two ad-brackets are built once and the
+    verdicts for (f, g) and (g, f) are returned as a pair; each verdict
+    compares its own delta([x, y]).
     """
-    lhs = delta(alg, r, bracket_poly(alg, f, g))
-    df = delta(alg, r, f) if df is None else df
-    dg = delta(alg, r, g) if dg is None else dg
-    rhs = _ad_poly_tensor2(alg, f, dg)
-    for key, p in _ad_poly_tensor2(alg, g, df).items():
-        rhs[key] = rhs.get(key, Sparse()) - p
-    return poly_tensor_eq(lhs, rhs)
+    cobracket = _direct(alg, r) if cobracket is None else cobracket
+    df = cobracket(f) if df is None else df
+    dg = cobracket(g) if dg is None else dg
+    if df is None or dg is None:
+        return (False, False) if both_orders else False
+    rhs = {}
+    _ad_into(alg, rhs, f, dg, 1)
+    _ad_into(alg, rhs, g, df, -1)
+    lhs = cobracket(bracket_poly(alg, f, g))
+    ok = lhs is not None and poly_tensor_eq(lhs, rhs)
+    if not both_orders:
+        return ok
+    lhs = cobracket(bracket_poly(alg, g, f))
+    return ok, lhs is not None and poly_tensor_eq(lhs, rhs, -1)
 
 
-def _cyclic3(t: dict) -> dict:
-    """Rotate tensor legs: a(u) (x) b(v) (x) c(w) -> c(u) (x) a(v) (x) b(w)."""
-    out = {}
-    for (i, j, k), p in t.items():
-        rotated = Sparse((((c3, a3, b3), c) for (a3, b3, c3), c in p.items()))
-        key = (k, i, j)
-        out[key] = out.get(key, Sparse()) + rotated
-    return {k: v for k, v in out.items() if v}
+def check_cojacobi(alg, r, f, df=None, cobracket=None) -> bool:
+    """Cyclic sum of (delta (x) id) applied to delta(f) vanishes.
 
-
-def check_cojacobi(alg, r, f, df=None) -> bool:
-    """Cyclic sum of (delta (x) id) applied to delta(f) vanishes."""
-    df = delta(alg, r, f) if df is None else df
+    ``df`` and ``cobracket`` are as in ``check_cocycle``; the inner delta
+    is taken of the unit monomials x_i u^a of the first leg.
+    """
+    cobracket = _direct(alg, r) if cobracket is None else cobracket
+    df = cobracket(f) if df is None else df
+    if df is None:
+        return False
     # (delta (x) id): expand the first leg monomial-wise and apply delta
     t = {}
     for (i, j), p in df.items():
         for (a, b), c in p.items():
-            inner = delta(alg, r, Sparse({(i, a): c}))
+            inner = cobracket(Sparse({(i, a): Fraction(1)}))
+            if inner is None:
+                return False
             for (m, l), q in inner.items():
                 # inner lives in variables (u, v); third leg keeps (j, w^b)
-                lifted = Sparse(
-                    (((a2, b2, b), cc) for (a2, b2), cc in q.items())
-                )
-                key = (m, l, j)
-                t[key] = t.get(key, Sparse()) + lifted
-    t = {k: v for k, v in t.items() if v}
-    rot1 = _cyclic3(t)
-    rot2 = _cyclic3(rot1)
+                _add_into(t, (m, l, j), (((a2, b2, b), c * cc) for (a2, b2), cc in q.items()))
+    # add the two cyclic rotations a(u) (x) b(v) (x) c(w) -> c(u) (x) a(v) (x) b(w)
     total = {}
-    for part in (t, rot1, rot2):
-        for key, p in part.items():
-            total[key] = total.get(key, Sparse()) + p
+    for (i, j, k), p in t.items():
+        _add_into(total, (i, j, k), p.items())
+        _add_into(total, (k, i, j), (((c3, a3, b3), c) for (a3, b3, c3), c in p.items()))
+        _add_into(total, (j, k, i), (((b3, c3, a3), c) for (a3, b3, c3), c in p.items()))
     return all(p.is_zero() for p in total.values())
 
 
@@ -160,34 +236,45 @@ def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
     Returns a list of {"family", "element", "check", "pass"} records; the
     cocycle runs over all ordered generator pairs up to ``cocycle_degree``
     (defaults to ``max_degree``).
+
+    delta is linear in f, so one ``BasisCobrackets`` per sweep computes
+    delta(x_i u^k) once per basis monomial, and every check takes its
+    cobrackets from it: the generators, the inner cobrackets of co-Jacobi
+    and delta([f, g]) of the cocycle.  The memo is dropped when the sweep
+    returns.  The cocycle runs once per unordered pair, building the two
+    ad-brackets once for both ordered records.  A generator whose delta is
+    not polynomial fails its "polynomial" record and gets no skew or
+    co-Jacobi record; a co-Jacobi or cocycle record that needs a basis
+    cobracket which is not polynomial fails.
     """
     if cocycle_degree is None:
         cocycle_degree = max_degree
+    cobracket = BasisCobrackets(alg, r)
     records = []
     gens = [
         (f"{alg.basis[i]}*u^{k}", Sparse({(i, k): Fraction(1)}))
         for k in range(max_degree + 1)
         for i in range(alg.dim)
     ]
-    deltas = {}
     for name, f in gens:
-        try:
-            deltas[name] = delta(alg, r, f)
-            ok = True
-        except NotPolynomialError:
-            ok = False
         records.append(
-            {"family": spec_text, "element": name, "check": "polynomial", "pass": ok}
+            {
+                "family": spec_text,
+                "element": name,
+                "check": "polynomial",
+                "pass": cobracket(f) is not None,
+            }
         )
     for name, f in gens:
-        if name not in deltas:
+        df = cobracket(f)
+        if df is None:
             continue
         records.append(
             {
                 "family": spec_text,
                 "element": name,
                 "check": "skew",
-                "pass": check_skew(alg, r, f),
+                "pass": check_skew(alg, r, f, df=df),
             }
         )
         records.append(
@@ -195,7 +282,7 @@ def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
                 "family": spec_text,
                 "element": name,
                 "check": "co-jacobi",
-                "pass": check_cojacobi(alg, r, f, df=deltas[name]),
+                "pass": check_cojacobi(alg, r, f, df=df, cobracket=cobracket),
             }
         )
     pair_gens = [
@@ -203,16 +290,22 @@ def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
         for (name, f) in gens
         if max(d for (_, d) in f) <= cocycle_degree
     ]
-    for name_f, f in pair_gens:
-        for name_g, g in pair_gens:
+    verdicts = {}
+    for a, (_, f) in enumerate(pair_gens):
+        verdicts[a, a] = check_cocycle(alg, r, f, f, cobracket=cobracket)
+        for b in range(a + 1, len(pair_gens)):
+            g = pair_gens[b][1]
+            verdicts[a, b], verdicts[b, a] = check_cocycle(
+                alg, r, f, g, cobracket=cobracket, both_orders=True
+            )
+    for a, (name_f, _) in enumerate(pair_gens):
+        for b, (name_g, _) in enumerate(pair_gens):
             records.append(
                 {
                     "family": spec_text,
                     "element": f"{name_f},{name_g}",
                     "check": "cocycle",
-                    "pass": check_cocycle(
-                        alg, r, f, g, df=deltas.get(name_f), dg=deltas.get(name_g)
-                    ),
+                    "pass": verdicts[a, b],
                 }
             )
     return records

@@ -29,17 +29,31 @@ def parse_frac(s) -> Fraction:
         raise MalformedInputError(f"bad rational {s!r}") from exc
 
 
+def _json_int(value, what: str) -> int:
+    """value if it is a JSON integer; a bool, a float or a string is malformed."""
+    if type(value) is not int:
+        raise MalformedInputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def algebra_doc(alg: LieAlgebraData) -> dict:
     return {"type": "A", "rank": alg.n}
 
 
-def algebra_from_doc(doc) -> LieAlgebraData:
+def algebra_from_doc(doc, max_rank=None) -> LieAlgebraData:
+    """sl_n from {"type": "A", "rank": n}; a rank below 2 or above
+    ``max_rank`` (the LBFORGE_MAX_RANK cap) is malformed."""
     try:
         if doc["type"] != "A":
             raise MalformedInputError(f"unsupported algebra type {doc['type']!r}")
-        return build_sl(int(doc["rank"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        rank = _json_int(doc["rank"], "rank")
+    except (KeyError, TypeError) as exc:
         raise MalformedInputError("bad algebra record") from exc
+    if rank < 2:
+        raise MalformedInputError(f"rank must be >= 2, got {rank}")
+    if max_rank is not None and rank > max_rank:
+        raise MalformedInputError(f"rank {rank} exceeds LBFORGE_MAX_RANK={max_rank}")
+    return build_sl(rank)
 
 
 def tensor_to_doc(alg: LieAlgebraData, r: SpectralTensor2) -> dict:
@@ -62,10 +76,10 @@ def tensor_to_doc(alg: LieAlgebraData, r: SpectralTensor2) -> dict:
     return {"algebra": algebra_doc(alg), "basis": list(alg.basis), "entries": entries}
 
 
-def tensor_from_doc(doc):
+def tensor_from_doc(doc, max_rank=None):
     """Returns (algebra, SpectralTensor2); raises MalformedInputError."""
     try:
-        alg = algebra_from_doc(doc["algebra"])
+        alg = algebra_from_doc(doc["algebra"], max_rank)
         if list(doc["basis"]) != list(alg.basis):
             raise MalformedInputError("basis labels do not match the algebra")
         index = {label: k for k, label in enumerate(alg.basis)}
@@ -76,11 +90,12 @@ def tensor_from_doc(doc):
             num = Sparse()
             where = f"entry ({entry['i']}, {entry['j']})"
             for a, b, c in entry["num"]:
-                a, b = int(a), int(b)
+                a = _json_int(a, f"exponent in {where}")
+                b = _json_int(b, f"exponent in {where}")
                 if a < 0 or b < 0:
                     raise MalformedInputError(f"negative exponent in {where}")
                 num.iadd((a, b), parse_frac(c))
-            den_power = int(entry["den_power"])
+            den_power = _json_int(entry["den_power"], f"den_power in {where}")
             if den_power < 0:
                 raise MalformedInputError(f"negative den_power in {where}")
             scale = parse_frac(entry.get("den_scale", "1"))
@@ -130,7 +145,7 @@ def double_element_from_doc(doc, alg) -> DoubleElement:
         index = {label: k for k, label in enumerate(alg.basis)}
         loop = Sparse()
         for label, d, c in doc.get("loop", []):
-            loop.iadd((index[label], int(d)), parse_frac(c))
+            loop.iadd((index[label], _json_int(d, "degree")), parse_frac(c))
         fin = Sparse()
         for label, c in doc.get("finite", []):
             fin.iadd(index[label], parse_frac(c))
@@ -160,7 +175,7 @@ def wpresentation_from_doc(doc, alg):
         head = [double_element_from_doc(entry, alg) for entry in doc["head"]]
         tail = Sparse()
         for d, c in doc["tail"]:
-            tail.iadd(int(d), parse_frac(c))
+            tail.iadd(_json_int(d, "tail degree"), parse_frac(c))
         if tail.is_zero():
             raise MalformedInputError("tail polynomial must be nonzero")
         return WPresentation(spec=spec, head=head, tail=tail)

@@ -2,8 +2,12 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from lbforge import serialize
+from lbforge.errors import MalformedInputError
 from lbforge.cli import main
+from lbforge.lagrangian import catalog_w0
 from lbforge.liealg import build_sl
 from lbforge.pairing import CaseSpec
 from lbforge.ratfun import BivarRat, bivar, poly2
@@ -72,8 +76,6 @@ def test_serialization_is_byte_stable(tmp_path):
 
 
 def test_wpresentation_round_trip():
-    from lbforge.lagrangian import catalog_w0
-
     for text in ["I:two-points:1,2", "II:simple-pole", "III:constant"]:
         w = catalog_w0(ALG, CaseSpec.parse(text))
         doc = json.loads(json.dumps(serialize.wpresentation_to_doc(ALG, w)))
@@ -130,6 +132,82 @@ def test_negative_den_power_is_malformed(tmp_path, capsys):
 
     assert main(["verify", "--in", str(_with_entry(tmp_path, edit))]) == 3
     assert "negative den_power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("exponent", 0.5), ("exponent", True), ("den_power", 1.9), ("den_power", True),
+     ("den_power", "1")],
+)
+def test_non_integer_entry_field_is_malformed(tmp_path, capsys, field, value):
+    def edit(entry):
+        if field == "exponent":
+            entry["num"][0][0] = value
+        else:
+            entry["den_power"] = value
+
+    path = _with_entry(tmp_path, edit)
+    assert main(["verify", "--in", str(path), "--checks", "cybe,skew"]) == 3
+    err = capsys.readouterr().err
+    assert f"{field} in entry" in err and "must be an integer" in err
+    assert "Traceback" not in err
+
+
+def _with_rank(tmp_path, rank):
+    doc = json.loads(build_file(tmp_path).read_text())
+    doc["algebra"]["rank"] = rank
+    path = tmp_path / "ranked.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "rank, message",
+    [(2.7, "rank must be an integer"), (2.0, "rank must be an integer"),
+     (True, "rank must be an integer"), (1, "rank must be >= 2"),
+     (-3, "rank must be >= 2")],
+)
+def test_bad_file_rank_is_malformed(tmp_path, capsys, rank, message):
+    assert main(["verify", "--in", str(_with_rank(tmp_path, rank))]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_file_rank_is_capped(tmp_path, monkeypatch, capsys):
+    path = build_file(tmp_path, algebra="A:3", case="I:constant", r="zero")
+    monkeypatch.setenv("LBFORGE_MAX_RANK", "2")
+    assert main(["verify", "--in", str(path)]) == 3
+    assert "rank 3 exceeds LBFORGE_MAX_RANK=2" in capsys.readouterr().err
+    monkeypatch.setenv("LBFORGE_MAX_RANK", "3")
+    assert main(["verify", "--in", str(path)]) == 0
+
+
+def test_algebra_option_rank_is_capped(monkeypatch, capsys):
+    monkeypatch.setenv("LBFORGE_MAX_RANK", "2")
+    argv = ["build", "--algebra", "A:3", "--case", "I:constant", "--r", "zero"]
+    assert main(argv) == 2
+    assert "LBFORGE_MAX_RANK=2" in capsys.readouterr().err
+
+
+def test_bad_max_rank_env_is_config_error(tmp_path, monkeypatch, capsys):
+    path = build_file(tmp_path)
+    monkeypatch.setenv("LBFORGE_MAX_RANK", "2.5")
+    assert main(["verify", "--in", str(path)]) == 2
+    assert "LBFORGE_MAX_RANK must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("degree", [0.5, True, "1"])
+def test_non_integer_presentation_degrees_are_malformed(degree):
+    w = catalog_w0(ALG, CaseSpec.parse("I:simple-pole"))
+    doc = json.loads(json.dumps(serialize.wpresentation_to_doc(ALG, w)))
+    loop_doc = json.loads(json.dumps(doc))
+    loop_doc["head"][0]["loop"][0][1] = degree
+    with pytest.raises(MalformedInputError, match="degree must be an integer"):
+        serialize.wpresentation_from_doc(loop_doc, ALG)
+    with pytest.raises(MalformedInputError, match="degree must be an integer"):
+        serialize.double_element_from_doc(loop_doc["head"][0], ALG)
+    doc["tail"][0][0] = degree
+    with pytest.raises(MalformedInputError, match="tail degree must be an integer"):
+        serialize.wpresentation_from_doc(doc, ALG)
 
 
 def test_loaded_entries_are_in_lowest_terms(tmp_path):
@@ -276,6 +354,25 @@ def test_duality_solves_dual_basis_once(tmp_path, monkeypatch):
             "--checks", "duality", "--degree", "3"]
     assert main(argv) == 0
     assert len(calls) == 1
+
+
+def test_non_polynomial_cobracket_fails_with_witness(tmp_path, capsys):
+    path = build_file(tmp_path, case="I:constant", r="zero")
+    doc = json.loads(path.read_text())
+    doc["entries"] = [
+        e for e in doc["entries"] if (e["i"], e["j"]) != ("F(1,2)", "E(1,2)")
+    ]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["verify", "--in", str(bad), "--checks", "delta-axioms", "--sweep-degree", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (entry,) = json.loads(captured.out)["checks"]
+    assert entry["check"] == "delta-axioms" and not entry["pass"]
+    assert entry["witness"] == {
+        "family": "-", "element": "E(1,2)*u^0", "check": "polynomial", "pass": False,
+    }
 
 
 def test_verify_sweep_degree_validated(tmp_path, monkeypatch):

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lbforge.errors import InvalidParameterError
+import lbforge.cobracket
+from lbforge.errors import InvalidParameterError, NotPolynomialError
 from lbforge.cobracket import (
+    BasisCobrackets,
     axiom_sweep,
     bracket_poly,
     check_cocycle,
@@ -18,6 +22,7 @@ from lbforge.pairing import CaseSpec
 from lbforge.ratfun import poly2
 from lbforge.rmatrix import (
     RKind,
+    SpectralTensor2,
     build_r,
     catalog_rkind,
     from_constant,
@@ -176,3 +181,129 @@ def test_axioms_hold_per_family_spot_checks(text):
         assert check_skew(ALG, r, f)
         assert check_cojacobi(ALG, r, f)
     assert check_cocycle(ALG, r, E_U, Sparse({(2, 0): Fraction(1)}))
+
+
+# -- the sweep's cobracket memo -------------------------------------------------
+
+ALG3 = build_sl(3)
+LINEAR_CASES = [
+    (alg, text)
+    for alg in (ALG, ALG3)
+    for text in ("I:two-points:1,2", "II:constant", "III:constant")
+]
+_MEMOS = {}
+
+
+def _memo(alg, text):
+    """One BasisCobrackets per (algebra, family), shared across examples."""
+    if (alg.n, text) not in _MEMOS:
+        spec = CaseSpec.parse(text)
+        r = build_r(alg, spec, catalog_rkind(alg, spec))
+        _MEMOS[alg.n, text] = (r, BasisCobrackets(alg, r))
+    return _MEMOS[alg.n, text]
+
+
+@st.composite
+def combinations(draw):
+    """(alg, family, f): f a rational combination of x_i u^k, k <= 3."""
+    alg, text = draw(st.sampled_from(LINEAR_CASES))
+    keys = st.tuples(st.integers(0, alg.dim - 1), st.integers(0, 3))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    terms = draw(st.dictionaries(keys, coeffs, min_size=1, max_size=4))
+    return alg, text, Sparse(terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(combinations())
+def test_linear_delta_matches_direct(case):
+    alg, text, f = case
+    r, memo = _memo(alg, text)
+    assert memo(f) == delta(alg, r, f)
+
+
+def _direct_records(alg, text, r, cap):
+    """The sweep's records, each recomputed by a check without precomputed
+    arguments."""
+    gens = [
+        (f"{alg.basis[i]}*u^{k}", Sparse({(i, k): Fraction(1)}))
+        for k in range(cap + 1)
+        for i in range(alg.dim)
+    ]
+    out = []
+    polynomial = {}
+    for name, f in gens:
+        try:
+            delta(alg, r, f)
+            polynomial[name] = True
+        except NotPolynomialError:
+            polynomial[name] = False
+        out.append((name, "polynomial", polynomial[name]))
+    for name, f in gens:
+        if not polynomial[name]:
+            continue
+        out.append((name, "skew", check_skew(alg, r, f)))
+        out.append((name, "co-jacobi", check_cojacobi(alg, r, f)))
+    for name_f, f in gens:
+        for name_g, g in gens:
+            out.append((f"{name_f},{name_g}", "cocycle", check_cocycle(alg, r, f, g)))
+    return out
+
+
+@pytest.mark.parametrize("constant", ["catalog", "not skew"])
+def test_sweep_records_match_direct_checks(constant):
+    text = "I:two-points:1,2"
+    spec = CaseSpec.parse(text)
+    r = build_r(ALG, spec, catalog_rkind(ALG, spec))
+    cap = 2
+    if constant == "not skew":
+        # e (x) f alone breaks skew-symmetry and co-Jacobi; delta stays polynomial
+        r = r + from_constant(Sparse({(0, 1): Fraction(1)}))
+        cap = 1
+    records = axiom_sweep(ALG, text, r, cap)
+    got = [(rec["element"], rec["check"], rec["pass"]) for rec in records]
+    assert got == _direct_records(ALG, text, r, cap)
+    assert all(rec["family"] == text for rec in records)
+    if constant == "not skew":
+        assert not all(ok for *_, ok in got)
+
+
+def _count_delta(monkeypatch):
+    keys = []
+    original = lbforge.cobracket.delta
+
+    def counting(alg, r, f):
+        keys.append(tuple(sorted(f.items())))
+        return original(alg, r, f)
+
+    monkeypatch.setattr(lbforge.cobracket, "delta", counting)
+    return keys
+
+
+def test_sweep_computes_each_basis_cobracket_once(monkeypatch):
+    keys = _count_delta(monkeypatch)
+    spec = CaseSpec.parse("I:two-points:1,2")
+    r = build_r(ALG, spec, catalog_rkind(ALG, spec))
+    records = axiom_sweep(ALG, "I:two-points:1,2", r, 2)
+    assert all(rec["pass"] for rec in records)
+    assert keys and len(keys) == len(set(keys))
+    assert all(len(k) == 1 and k[0][1] == 1 for k in keys)  # unit monomials only
+
+
+def _without_f_e(alg, r):
+    """r with its F (x) E entry removed: delta(E) is no longer polynomial."""
+    e, f = alg.basis.index("E(1,2)"), alg.basis.index("F(1,2)")
+    return SpectralTensor2({k: v for k, v in r.entries.items() if k != (f, e)})
+
+
+def test_sweep_records_non_polynomial_cobrackets_as_failures(monkeypatch):
+    r = _without_f_e(ALG, YANG)
+    keys = _count_delta(monkeypatch)
+    records = axiom_sweep(ALG, "-", r, 1)
+    verdict = {(rec["element"], rec["check"]): rec["pass"] for rec in records}
+    assert not verdict["E(1,2)*u^0", "polynomial"]
+    assert verdict["H(1)*u^0", "polynomial"]
+    # delta(H u) has E and F on its first leg, whose cobrackets co-Jacobi needs
+    assert not verdict["H(1)*u^1", "co-jacobi"]
+    assert not verdict["E(1,2)*u^0,H(1)*u^0", "cocycle"]
+    assert ("E(1,2)*u^0", "skew") not in verdict
+    assert len(keys) == len(set(keys))  # a failing cobracket is computed once
