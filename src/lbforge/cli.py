@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import serialize
@@ -20,14 +19,13 @@ from .errors import LbforgeError, MalformedInputError
 from .lagrangian import catalog_w0, dual_basis, is_lagrangian
 from .liealg import basis_element, build_sl, casimir, jordanian, r_dj, swap2
 from .pairing import CaseSpec, admissible_degree, embed_canonical, q_form, validate_case
-from .ratfun import bivar_swap_vars
 from .rmatrix import (
-    MCYBE,
     RKind,
     build_r,
+    catalog_rkind,
     cyb_spectral,
     expand_region,
-    family_requirement,
+    skew_residual,
     skew_spectral_check,
     sum_dual_series,
 )
@@ -46,51 +44,12 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Validated configuration shared by the config-driven subcommands."""
-
-    algebra: object
-    spec: CaseSpec = None
-    constant_r: str = None
-    degree: int = 6
-    checks: list = field(default_factory=list)
-    out: str = None
-    infile: str = None
-    sweep_degree: int = 2
-
-    @classmethod
-    def from_args(cls, args, need_case=False) -> "RunConfig":
-        alg = parse_algebra(getattr(args, "algebra", "A:2"))
-        case = getattr(args, "case", None)
-        if case is None and need_case:
-            raise ConfigError("this command needs --case")
-        spec = parse_case(case) if case else None
-        checks = [
-            c.strip()
-            for c in getattr(args, "checks", "").split(",")
-            if c.strip()
-        ]
-        for name in checks:
-            if name not in ALL_CHECKS:
-                raise ConfigError(f"unknown check {name!r}")
-        degree = getattr(args, "degree", 6)
-        sweep = getattr(args, "sweep_degree", 2)
-        # verify bounds a degree only when a requested check uses it
-        if args.command == "dualbasis" or "duality" in checks:
-            check_degree(degree)
-        if "delta-axioms" in checks:
-            check_degree(sweep, "sweep degree", 0)
-        return cls(
-            algebra=alg,
-            spec=spec,
-            constant_r=getattr(args, "r", None),
-            degree=degree,
-            checks=checks,
-            out=getattr(args, "out", None),
-            infile=getattr(args, "infile", None),
-            sweep_degree=sweep,
-        )
+def parse_checks(text: str) -> list:
+    checks = [c.strip() for c in text.split(",") if c.strip()]
+    for name in checks:
+        if name not in ALL_CHECKS:
+            raise ConfigError(f"unknown check {name!r}")
+    return checks
 
 
 def parse_algebra(text: str):
@@ -104,17 +63,11 @@ def parse_algebra(text: str):
     cap = env_cap("LBFORGE_MAX_RANK")
     if cap is not None and n > cap:
         raise ConfigError(f"rank {n} exceeds LBFORGE_MAX_RANK={cap}")
-    try:
-        return build_sl(n)
-    except LbforgeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return build_sl(n)
 
 
 def parse_case(text: str) -> CaseSpec:
-    try:
-        spec = CaseSpec.parse(text)
-    except LbforgeError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = CaseSpec.parse(text)
     reason = validate_case(spec)
     if reason is not None:
         raise ConfigError(reason)
@@ -129,27 +82,27 @@ def classify_rkind(alg, value: Sparse) -> RKind:
     raise ConfigError("constant tensor is neither modified-type nor skew")
 
 
-def parse_constant_r(alg, spec, text: str) -> RKind:
-    need = family_requirement(spec)
-    try:
-        if text == "zero":
-            return RKind.skew(alg, Sparse())
-        if text == "dj":
-            return RKind.mcybe(alg, r_dj(alg))
-        if text == "jordanian" or text.startswith("jordanian:"):
-            root = None
-            if ":" in text:
+def parse_constant_r(alg, spec, text) -> RKind:
+    """The constant part named by ``--r``; without one, the family's catalog
+    part (``dj`` or ``zero``)."""
+    if text is None:
+        return catalog_rkind(alg, spec)
+    if text == "zero":
+        return RKind.skew(alg, Sparse())
+    if text == "dj":
+        return RKind.mcybe(alg, r_dj(alg))
+    if text == "jordanian" or text.startswith("jordanian:"):
+        root = None
+        if ":" in text:
+            try:
                 i, j = (int(p) for p in text.split(":", 1)[1].split(","))
-                root = (i, j)
-            return RKind.skew(alg, jordanian(alg, root))
-        if text.startswith("file:"):
-            doc = serialize.load(text[5:])
-            value = serialize.const_tensor_from_doc(doc, alg)
-            return classify_rkind(alg, value)
-    except MalformedInputError:
-        raise
-    except (LbforgeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            root = (i, j)
+        return RKind.skew(alg, jordanian(alg, root))
+    if text.startswith("file:"):
+        doc = serialize.load(text[5:])
+        return classify_rkind(alg, serialize.const_tensor_from_doc(doc, alg))
     raise ConfigError(f"unknown constant part {text!r}")
 
 
@@ -181,46 +134,45 @@ def _emit(doc, out_path):
 
 
 def cmd_build(args) -> int:
-    config = RunConfig.from_args(args, need_case=True)
-    rk = parse_constant_r(config.algebra, config.spec, config.constant_r)
-    r = build_r(config.algebra, config.spec, rk)
-    _emit(serialize.tensor_to_doc(config.algebra, r), config.out)
+    alg = parse_algebra(args.algebra)
+    spec = parse_case(args.case)
+    r = build_r(alg, spec, parse_constant_r(alg, spec, args.r))
+    _emit(serialize.tensor_to_doc(alg, r), args.out)
     return EXIT_OK
 
 
-def _witness_entry(alg, key, detail):
-    if len(key) == 2:
-        return {"i": alg.basis[key[0]], "j": alg.basis[key[1]], "coefficient": detail}
-    return {"indices": [alg.basis[k] for k in key[:3]], "coefficient": detail}
+def _witness(alg, terms, legs: int):
+    """Witness of a nonzero residual given as (key, coefficient) terms: the
+    least term, whose key is ``legs`` basis indices and then a monomial."""
+    key, coeff = min(terms)
+    names = [alg.basis[k] for k in key[:legs]]
+    if legs == 2:
+        return {"i": names[0], "j": names[1], "coefficient": serialize.frac_str(coeff)}
+    return {"indices": names, "coefficient": serialize.frac_str(coeff)}
 
 
-def _check_cybe(alg, r, config):
+def _check_cybe(alg, r, spec, args):
     result = cyb_spectral(alg, r)
     if result.is_zero():
         return True, None
-    key, coeff = next(iter(sorted(result.numerators.items())))
-    return False, _witness_entry(alg, key[:3], serialize.frac_str(coeff))
+    return False, _witness(alg, result.numerators.items(), 3)
 
 
-def _check_skew(alg, r, config):
+def _check_skew(alg, r, spec, args):
     if skew_spectral_check(r):
         return True, None
-    total = dict(r.entries)
-    for (i, j), val in r.items():
-        cur = total.get((j, i))
-        total[(j, i)] = bivar_swap_vars(val) + cur if cur else bivar_swap_vars(val)
-    for key in sorted(total):
-        if not total[key].is_zero():
-            coeff = next(iter(sorted(total[key].num.items())))[1]
-            return False, _witness_entry(alg, key, serialize.frac_str(coeff))
-    return False, None
+    terms = (
+        (key + mono, c)
+        for key, val in skew_residual(r).items()
+        for mono, c in val.num.items()
+    )
+    return False, _witness(alg, terms, 2)
 
 
-def _check_duality(alg, r, config):
-    if config.spec is None:
+def _check_duality(alg, r, spec, args):
+    if spec is None:
         raise ConfigError("duality check needs --case")
-    spec = config.spec
-    n = config.degree
+    n = args.degree
     w = catalog_w0(alg, spec)
     duals = dual_basis(alg, w, n)
     canonical = [(j, l, embed_canonical(spec, basis_element(j), l))
@@ -242,17 +194,16 @@ def _check_duality(alg, r, config):
     return True, None
 
 
-def _check_delta_axioms(alg, r, config):
-    label = config.spec.text if config.spec else "-"
-    records = axiom_sweep(alg, label, r, config.sweep_degree)
+def _check_delta_axioms(alg, r, spec, args):
+    label = spec.text if spec else "-"
+    records = axiom_sweep(alg, label, r, args.sweep_degree)
     bad = [rec for rec in records if not rec["pass"]]
     if bad:
         return False, bad[0]
     return True, None
 
 
-def _check_equiv(alg, r, config):
-    spec = config.spec
+def _check_equiv(alg, r, spec, args):
     if spec is None or spec.a_form != "two-points":
         raise ConfigError("equiv check needs a two-points --case")
     report = quasi_twist_verify(spec.c1, spec.c2, 1, 2, alg=alg, source=r)
@@ -272,27 +223,36 @@ _CHECKS = {
 
 def cmd_verify(args) -> int:
     doc = serialize.load(args.infile)
-    alg, r = serialize.tensor_from_doc(doc, env_cap("LBFORGE_MAX_RANK"))
-    config = RunConfig.from_args(args)
-    config.algebra = alg  # the tensor file owns the algebra
+    # the tensor file owns the algebra
+    alg, r = serialize.tensor_from_doc(
+        doc, env_cap("LBFORGE_MAX_RANK"), env_cap("LBFORGE_MAX_DEGREE")
+    )
+    spec = parse_case(args.case) if args.case else None
+    checks = parse_checks(args.checks)
+    # a degree option is bounded only when a requested check uses it
+    if "duality" in checks:
+        check_degree(args.degree)
+    if "delta-axioms" in checks:
+        check_degree(args.sweep_degree, "sweep degree", 0)
     results = []
     all_pass = True
-    for name in config.checks:
-        ok, witness = _CHECKS[name](alg, r, config)
+    for name in checks:
+        ok, witness = _CHECKS[name](alg, r, spec, args)
         all_pass = all_pass and ok
         entry = {"check": name, "pass": ok}
         if witness is not None:
             entry["witness"] = witness
         results.append(entry)
-    _emit({"pass": all_pass, "checks": results}, config.out)
+    _emit({"pass": all_pass, "checks": results}, args.out)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
 def cmd_dualbasis(args) -> int:
-    config = RunConfig.from_args(args, need_case=True)
-    alg, spec = config.algebra, config.spec
+    alg = parse_algebra(args.algebra)
+    spec = parse_case(args.case)
+    n = check_degree(args.degree)
     w = catalog_w0(alg, spec)
-    report = is_lagrangian(alg, w, max(config.degree, 6))
+    report = is_lagrangian(alg, w, max(n, 6))
     if not report.ok:
         raise ConfigError("catalog presentation failed the Lagrangian check")
     duals = [
@@ -301,7 +261,7 @@ def cmd_dualbasis(args) -> int:
             "degree": k,
             "dual": serialize.double_element_doc(alg, el),
         }
-        for (i, k, el) in dual_basis(alg, w, config.degree)
+        for (i, k, el) in dual_basis(alg, w, n)
     ]
     _emit(
         {
@@ -311,16 +271,13 @@ def cmd_dualbasis(args) -> int:
             "presentation": serialize.wpresentation_to_doc(alg, w),
             "duals": duals,
         },
-        config.out,
+        args.out,
     )
     return EXIT_OK
 
 
 def cmd_equiv(args) -> int:
-    try:
-        report = quasi_twist_verify(args.c1, args.c2, args.d1, args.d2)
-    except LbforgeError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = quasi_twist_verify(args.c1, args.c2, args.d1, args.d2)
     verdict = "equal" if report.equal else "different"
     print(
         f"p={report.change.p} q={report.change.q} C={report.scale} {verdict}"
@@ -334,10 +291,7 @@ def cmd_table(args) -> int:
         simple_k = args.k if args.k is not None else 1
     elif args.k is not None:
         raise ConfigError("k applies to the simple vertex only")
-    try:
-        deg = admissible_degree(args.double_type, simple_k)
-    except LbforgeError as exc:
-        raise ConfigError(str(exc)) from exc
+    deg = admissible_degree(args.double_type, simple_k)
     print("impossible" if deg is None else str(deg))
     return EXIT_OK
 
@@ -395,13 +349,6 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    if getattr(args, "command", None) == "build" and args.r is None:
-        try:
-            need = family_requirement(parse_case(args.case))
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_CONFIG
-        args.r = "dj" if need == MCYBE else "zero"
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -30,49 +30,27 @@ def g_poly(x: Sparse, degree: int = 0) -> Sparse:
 def delta(alg: LieAlgebraData, r: SpectralTensor2, f: Sparse):
     """The cobracket value on f, as {(i, j): bivariate polynomial}.
 
-    The first tensor leg acts through f(u), the second through f(v); the
-    result is certified polynomial by exact division by (v - u)^k.
+    Every entry of r is put over one (v - u)^top, the ad-action of f is
+    applied to the numerators, and the result is certified polynomial by
+    exact division by (v - u), top times.
     """
     if any(d < 0 for (_, d) in f):
         raise InvalidParameterError("f must be polynomial in u")
-    acc = {}  # (i, j) -> {den_pow: numerator}
-    for (i, j), val in r.items():
-        for (x, d), cf in f.items():
-            # [f(u) (x) 1, .]: first leg bracket, numerator gains u^d
-            for m, cm in bracket_basis(alg, x, i).items():
-                num = Sparse(
-                    (((a + d, b), c * cf * cm) for (a, b), c in val.num.items())
-                )
-                _acc_add(acc, (m, j), val.den_pow, num)
-            # [1 (x) f(v), .]: second leg bracket, numerator gains v^d
-            for m, cm in bracket_basis(alg, x, j).items():
-                num = Sparse(
-                    (((a, b + d), c * cf * cm) for (a, b), c in val.num.items())
-                )
-                _acc_add(acc, (i, m), val.den_pow, num)
+    top = max((val.den_pow for _, val in r.items()), default=0)
+    nums = {key: mul_vu_pow(val.num, top - val.den_pow) for key, val in r.items()}
+    acc = {}
+    _ad_into(alg, acc, f, nums, 1)
     out = {}
-    for key, by_pow in acc.items():
-        total = Sparse()
-        top = max(by_pow)
-        for pow_, num in by_pow.items():
-            total = total + mul_vu_pow(num, top - pow_)
+    for key, total in acc.items():
         for _ in range(top):
-            quot, rem = poly2_divide_vu(total)
+            total, rem = poly2_divide_vu(total)
             if not rem.is_zero():
                 raise NotPolynomialError(
                     f"entry {key} is not divisible by (v - u)"
                 )
-            total = quot
         if total:
             out[key] = total
     return out
-
-
-def _acc_add(acc, key, den_pow, num):
-    if num.is_zero():
-        return
-    by_pow = acc.setdefault(key, {})
-    by_pow[den_pow] = by_pow.get(den_pow, Sparse()) + num
 
 
 def poly_tensor_eq(a, b, sign: int = 1) -> bool:
@@ -146,13 +124,15 @@ def _direct(alg, r):
     return cobracket
 
 
-def check_skew(alg, r, f, df=None) -> bool:
+def check_skew(alg, r, f, cobracket=None) -> bool:
     """delta(f)(u, v) + swap-legs(delta(f))(v, u) == 0.
 
-    ``df`` is delta(f) if already computed; a non-polynomial delta(f)
-    fails the check.
+    ``cobracket`` maps an element to its delta, None where it is not
+    polynomial (a ``BasisCobrackets`` in a sweep); without it delta is
+    computed directly.  A non-polynomial delta(f) fails the check.
     """
-    d = _direct(alg, r)(f) if df is None else df
+    cobracket = _direct(alg, r) if cobracket is None else cobracket
+    d = cobracket(f)
     if d is None:
         return False
     total = {}
@@ -175,19 +155,17 @@ def _ad_into(alg, out: dict, f: Sparse, t: dict, sign: int) -> None:
                 _add_into(out, (i, m), (((a, b + d), c * s) for (a, b), c in p.items()))
 
 
-def check_cocycle(alg, r, f, g, df=None, dg=None, cobracket=None, both_orders=False):
+def check_cocycle(alg, r, f, g, cobracket=None, both_orders=False):
     """delta([f, g]) == [f.., delta(g)] - [g.., delta(f)].
 
-    Precomputed cobrackets may be passed to amortize sweeps: ``df`` and
-    ``dg``, or ``cobracket``, a map from elements to their delta (None
-    where it is not polynomial; a non-polynomial delta fails the check).
-    With ``both_orders`` the two ad-brackets are built once and the
-    verdicts for (f, g) and (g, f) are returned as a pair; each verdict
-    compares its own delta([x, y]).
+    ``cobracket`` is as in ``check_skew``; every delta the check needs is
+    taken from it, and a non-polynomial one fails the check.  With
+    ``both_orders`` the two ad-brackets are built once and the verdicts for
+    (f, g) and (g, f) are returned as a pair; each verdict compares its own
+    delta([x, y]).
     """
     cobracket = _direct(alg, r) if cobracket is None else cobracket
-    df = cobracket(f) if df is None else df
-    dg = cobracket(g) if dg is None else dg
+    df, dg = cobracket(f), cobracket(g)
     if df is None or dg is None:
         return (False, False) if both_orders else False
     rhs = {}
@@ -201,14 +179,14 @@ def check_cocycle(alg, r, f, g, df=None, dg=None, cobracket=None, both_orders=Fa
     return ok, lhs is not None and poly_tensor_eq(lhs, rhs, -1)
 
 
-def check_cojacobi(alg, r, f, df=None, cobracket=None) -> bool:
+def check_cojacobi(alg, r, f, cobracket=None) -> bool:
     """Cyclic sum of (delta (x) id) applied to delta(f) vanishes.
 
-    ``df`` and ``cobracket`` are as in ``check_cocycle``; the inner delta
-    is taken of the unit monomials x_i u^a of the first leg.
+    ``cobracket`` is as in ``check_skew``; it gives delta(f) and the inner
+    delta of the unit monomials x_i u^a of the first leg.
     """
     cobracket = _direct(alg, r) if cobracket is None else cobracket
-    df = cobracket(f) if df is None else df
+    df = cobracket(f)
     if df is None:
         return False
     # (delta (x) id): expand the first leg monomial-wise and apply delta
@@ -266,15 +244,14 @@ def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
             }
         )
     for name, f in gens:
-        df = cobracket(f)
-        if df is None:
+        if cobracket(f) is None:
             continue
         records.append(
             {
                 "family": spec_text,
                 "element": name,
                 "check": "skew",
-                "pass": check_skew(alg, r, f, df=df),
+                "pass": check_skew(alg, r, f, cobracket=cobracket),
             }
         )
         records.append(
@@ -282,7 +259,7 @@ def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
                 "family": spec_text,
                 "element": name,
                 "check": "co-jacobi",
-                "pass": check_cojacobi(alg, r, f, df=df, cobracket=cobracket),
+                "pass": check_cojacobi(alg, r, f, cobracket=cobracket),
             }
         )
     pair_gens = [

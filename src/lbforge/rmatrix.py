@@ -213,12 +213,17 @@ def sum_dual_series(alg, w: WPresentation, order: int, duals=None):
     return {key: t for key, t in out.items() if t}
 
 
-def skew_spectral_check(r: SpectralTensor2) -> bool:
-    """r(u, v) + swap-legs(r)(v, u) == 0 exactly."""
+def skew_residual(r: SpectralTensor2) -> SpectralTensor2:
+    """r(u, v) + swap-legs(r)(v, u), which vanishes exactly when r is skew."""
     total = SpectralTensor2(dict(r.entries))
     for (i, j), val in r.items():
         total.add_entry((j, i), bivar_swap_vars(val))
-    return total.is_zero()
+    return total
+
+
+def skew_spectral_check(r: SpectralTensor2) -> bool:
+    """r(u, v) + swap-legs(r)(v, u) == 0 exactly."""
+    return skew_residual(r).is_zero()
 
 
 # -- CYBE with spectral parameters -------------------------------------------

@@ -36,6 +36,11 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _check_cap(value: int, cap, what: str) -> None:
+    if cap is not None and value > cap:
+        raise MalformedInputError(f"{what}: {value} exceeds LBFORGE_MAX_DEGREE={cap}")
+
+
 def algebra_doc(alg: LieAlgebraData) -> dict:
     return {"type": "A", "rank": alg.n}
 
@@ -76,8 +81,13 @@ def tensor_to_doc(alg: LieAlgebraData, r: SpectralTensor2) -> dict:
     return {"algebra": algebra_doc(alg), "basis": list(alg.basis), "entries": entries}
 
 
-def tensor_from_doc(doc, max_rank=None):
-    """Returns (algebra, SpectralTensor2); raises MalformedInputError."""
+def tensor_from_doc(doc, max_rank=None, max_degree=None):
+    """Returns (algebra, SpectralTensor2); raises MalformedInputError.
+
+    An exponent or a ``den_power`` above ``max_degree`` (the
+    LBFORGE_MAX_DEGREE cap) is malformed, checked before the entry is
+    built: both bound the work of the (v - u) arithmetic.
+    """
     try:
         alg = algebra_from_doc(doc["algebra"], max_rank)
         if list(doc["basis"]) != list(alg.basis):
@@ -94,10 +104,12 @@ def tensor_from_doc(doc, max_rank=None):
                 b = _json_int(b, f"exponent in {where}")
                 if a < 0 or b < 0:
                     raise MalformedInputError(f"negative exponent in {where}")
+                _check_cap(max(a, b), max_degree, f"exponent in {where}")
                 num.iadd((a, b), parse_frac(c))
             den_power = _json_int(entry["den_power"], f"den_power in {where}")
             if den_power < 0:
                 raise MalformedInputError(f"negative den_power in {where}")
+            _check_cap(den_power, max_degree, f"den_power in {where}")
             scale = parse_frac(entry.get("den_scale", "1"))
             if scale == 0:
                 raise MalformedInputError("zero denominator scale")

@@ -28,11 +28,12 @@ class Sparse(dict):
     def iadd(self, key, value):
         if type(value) is not Fraction:
             value = Fraction(value)
-        total = self.get(key, 0) + value
-        if total == 0:
-            self.pop(key, None)
-        else:
+        cur = self.get(key)
+        total = value if cur is None else cur + value
+        if total:
             self[key] = total
+        else:
+            self.pop(key, None)
         return self
 
     def __add__(self, other):

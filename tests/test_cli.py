@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,25 @@ def test_non_integer_entry_field_is_malformed(tmp_path, capsys, field, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [("exponent", 3_000_000), ("den_power", 200_000)])
+def test_entry_degree_above_cap_is_malformed(tmp_path, monkeypatch, capsys, field, value):
+    # uncapped, either value keeps the (v - u) arithmetic of cybe and skew busy for minutes
+    def edit(entry):
+        if field == "exponent":
+            entry["num"][0][1] = value
+        else:
+            entry["den_power"] = value
+
+    path = _with_entry(tmp_path, edit)
+    monkeypatch.setenv("LBFORGE_MAX_DEGREE", "4")
+    start = time.perf_counter()
+    assert main(["verify", "--in", str(path), "--checks", "cybe,skew"]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert f"{field} in entry (E(1,2), F(1,2)): {value} exceeds LBFORGE_MAX_DEGREE=4" in err
+    assert "Traceback" not in err
+
+
 def _with_rank(tmp_path, rank):
     doc = json.loads(build_file(tmp_path).read_text())
     doc["algebra"]["rank"] = rank
@@ -234,9 +254,15 @@ def test_build_writes_vu_denominators(tmp_path):
 
 
 def test_build_rejects_illegal_case(capsys):
-    code = main(["build", "--case", "II:two-points:1,2", "--r", "dj"])
-    assert code == 2
-    assert "degree at most 1" in capsys.readouterr().err
+    for constant in (["--r", "dj"], []):
+        code = main(["build", "--case", "II:two-points:1,2", *constant])
+        assert code == 2
+        assert "degree at most 1" in capsys.readouterr().err
+
+
+def test_build_empty_case_is_config_error(capsys):
+    assert main(["build", "--case", "", "--r", "dj"]) == 2
+    assert capsys.readouterr().err == "error: bad case text ''\n"
 
 
 def test_build_kind_mismatch_is_config_error():
@@ -249,6 +275,16 @@ def test_build_defaults_constant_part(tmp_path, capsys):
     doc = json.loads(out.read_text())
     # zero skew part: pure uv/(v-u) Omega, so three entries on sl_2
     assert len(doc["entries"]) == 3
+    # without --r, build writes what the family's catalog constant part writes
+    catalog = {"I:two-points:1,2": "dj", "I:double-pole": "zero", "I:simple-pole": "dj",
+               "I:constant": "zero", "II:simple-pole": "dj", "II:constant": "dj",
+               "III:constant": "zero"}
+    for case, part in catalog.items():
+        default = main(["build", "--case", case, "--out", str(out)])
+        explicit = tmp_path / "explicit.json"
+        argv = ["build", "--case", case, "--r", part, "--out", str(explicit)]
+        assert default == 0 and main(argv) == 0
+        assert out.read_bytes() == explicit.read_bytes(), case
 
 
 def test_build_jordanian_and_file_parts(tmp_path):
@@ -318,8 +354,13 @@ def test_verify_corrupted_coefficient(tmp_path, capsys):
     assert code == 1
     report = json.loads((tmp_path / "rep.json").read_text())
     assert not report["pass"]
-    failing = [c for c in report["checks"] if not c["pass"]]
-    assert failing and all("witness" in c for c in failing)
+    # the least offending key and its least monomial's coefficient
+    assert report["checks"] == [
+        {"check": "cybe", "pass": False, "witness": {
+            "indices": ["E(1,2)", "F(1,2)", "H(1)"], "coefficient": "-4/7"}},
+        {"check": "skew", "pass": False, "witness": {
+            "i": "E(1,2)", "j": "F(1,2)", "coefficient": "2/7"}},
+    ]
 
 
 def test_verify_equiv_examines_the_file(tmp_path, capsys):
