@@ -22,22 +22,23 @@ from .rmatrix import SpectralTensor2
 from .sparse import Sparse
 
 
-def g_poly(x: Sparse, degree: int = 0) -> Sparse:
-    """x * u^degree as an element of g[u]."""
-    return Sparse((((i, degree), c) for i, c in x.items()))
+def lift(r: SpectralTensor2):
+    """(top, numerators): every entry of r put over one (v - u)^top."""
+    top = max((val.den_pow for _, val in r.items()), default=0)
+    return top, {key: mul_vu_pow(val.num, top - val.den_pow) for key, val in r.items()}
 
 
-def delta(alg: LieAlgebraData, r: SpectralTensor2, f: Sparse):
+def delta(alg: LieAlgebraData, r: SpectralTensor2, f: Sparse, lifted=None):
     """The cobracket value on f, as {(i, j): bivariate polynomial}.
 
-    Every entry of r is put over one (v - u)^top, the ad-action of f is
-    applied to the numerators, and the result is certified polynomial by
-    exact division by (v - u), top times.
+    Every entry of r is put over one (v - u)^top (``lifted`` is ``lift(r)``
+    when the caller has it), the ad-action of f is applied to the numerators,
+    and the result is certified polynomial by exact division by (v - u), top
+    times.
     """
     if any(d < 0 for (_, d) in f):
         raise InvalidParameterError("f must be polynomial in u")
-    top = max((val.den_pow for _, val in r.items()), default=0)
-    nums = {key: mul_vu_pow(val.num, top - val.den_pow) for key, val in r.items()}
+    top, nums = lift(r) if lifted is None else lifted
     acc = {}
     _ad_into(alg, acc, f, nums, 1)
     out = {}
@@ -66,7 +67,7 @@ def poly_tensor_eq(a, b, sign: int = 1) -> bool:
 
 
 class BasisCobrackets:
-    """delta for one r, computed once per basis monomial x_i u^k.
+    """delta for one r (lifted once), computed once per basis monomial x_i u^k.
 
     ``basis((i, k))`` is delta(alg, r, x_i u^k); calling the instance on
     any f in g[u] gives delta(f) as the sum of c * delta(x_i u^k) over the
@@ -78,12 +79,14 @@ class BasisCobrackets:
     def __init__(self, alg: LieAlgebraData, r: SpectralTensor2):
         self.alg = alg
         self.r = r
+        self._lifted = lift(r)
         self._memo = {}
 
     def basis(self, key):
         if key not in self._memo:
             try:
-                self._memo[key] = delta(self.alg, self.r, Sparse({key: Fraction(1)}))
+                unit = Sparse({key: Fraction(1)})
+                self._memo[key] = delta(self.alg, self.r, unit, lifted=self._lifted)
             except NotPolynomialError:
                 self._memo[key] = None
         return self._memo[key]

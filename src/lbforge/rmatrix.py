@@ -22,19 +22,24 @@ this family (the kernel's symmetric part is +1), and -swap(r) is the
 involution that carries solutions of the modified equation onto exactly
 those blocks.  The dual-basis series of the shipped complement confirms
 the sign.
+
+Spectral CYBE runs on r = sum phi(u, v)/(v-u)^d (x) T, phi spanning each
+denominator class d (rank <= 2 for the families), T coprime integers so the
+constant brackets are int-only; the entry-by-entry sum is the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InvalidParameterError, KindMismatchError
 from .lagrangian import WPresentation, dual_basis, quotient_ambient
 from .liealg import LieAlgebraData, bracket_basis, casimir, cyb, r_dj, swap2
 from .pairing import CaseSpec, validate_case
-from .ratfun import BivarRat, bivar, bivar_swap_vars, poly2
-from .sparse import Sparse, poly_mul
+from .ratfun import BivarRat, bivar, bivar_swap_vars, mul_vu_pow, poly2
+from .sparse import RowSpan, Sparse, poly_mul
 
 MCYBE = "mcybe"
 SKEW = "skew"
@@ -228,25 +233,6 @@ def skew_spectral_check(r: SpectralTensor2) -> bool:
 
 # -- CYBE with spectral parameters -------------------------------------------
 
-def _tri_embed(p: Sparse, slot_a: int, slot_b: int) -> Sparse:
-    """Embed a bivariate numerator into trivariate exponent keys."""
-    out = Sparse()
-    for (a, b), c in p.items():
-        key = [0, 0, 0]
-        key[slot_a] = a
-        key[slot_b] = b
-        out.iadd(tuple(key), c)
-    return out
-
-
-# trivariate difference polynomials: v-u, w-u, w-v
-_DIFFS = (
-    Sparse({(0, 1, 0): Fraction(1), (1, 0, 0): Fraction(-1)}),
-    Sparse({(0, 0, 1): Fraction(1), (1, 0, 0): Fraction(-1)}),
-    Sparse({(0, 0, 1): Fraction(1), (0, 1, 0): Fraction(-1)}),
-)
-
-
 @dataclass
 class SpectralCyb:
     """CYB(r)(u, v, w) as numerator tensor over (v-u)^a (w-u)^b (w-v)^c."""
@@ -258,37 +244,82 @@ class SpectralCyb:
         return self.numerators.is_zero()
 
 
+# legs (= variables) of r12, r13, r23, owning (v-u), (w-u), (w-v); the same
+# index pairs are the CYBE terms [r12, r13], [r12, r23], [r13, r23]
+_LEGS = ((0, 1), (0, 2), (1, 2))
+
+
+def _factors(r: SpectralTensor2):
+    """(d, phi, T) with r = sum phi/(v - u)^d (x) T: phi a reduced row of the
+    span of class d's numerators, T[key] the entry's coefficient at phi's
+    pivot, scaled to coprime integers with the scale moved into phi."""
+    spans = {}
+    for _, val in r.items():
+        spans.setdefault(val.den_pow, RowSpan()).add(val.num)
+    out = []
+    for d, span in spans.items():
+        for piv, phi in span.rows.items():
+            t = {k: v.num[piv] for k, v in r.items() if v.den_pow == d and piv in v.num}
+            s = Fraction(lcm(*(c.denominator for c in t.values())),
+                         gcd(*(c.numerator for c in t.values())))
+            out.append((d, (1 / s) * phi, {k: (c * s).numerator for k, c in t.items()}))
+    return out
+
+
+def _bracket3(alg, ta: dict, tb: dict, legs_a, legs_b):
+    """[ta on legs_a, tb on legs_b] in g (x) g (x) g; met: a structure constant was nonzero."""
+    c = (set(legs_a) & set(legs_b)).pop()
+    ia, ib = legs_a.index(c), legs_b.index(c)
+    oa, ob = legs_a[1 - ia], legs_b[1 - ib]
+    by_a, by_b = {}, {}
+    for t, i, by in ((ta, ia, by_a), (tb, ib, by_b)):
+        for key, coeff in t.items():
+            by.setdefault(key[i], []).append((key[1 - i], coeff))
+    out, met, key = {}, False, [0, 0, 0]
+    for x, rows_a in by_a.items():
+        for y, rows_b in by_b.items():
+            for m, s in bracket_basis(alg, x, y).items():
+                met, key[c] = True, m
+                s = s.numerator if s.denominator == 1 else s  # always, for sl_n
+                for key[oa], ca in rows_a:  # fills key[oa], then key[ob], in place
+                    for key[ob], cb in rows_b:
+                        k = tuple(key)
+                        out[k] = out.get(k, 0) + s * ca * cb
+    return {k: v for k, v in out.items() if v}, met
+
+
+def _on_legs(p: Sparse, a: int, lift: int) -> Sparse:
+    """p(x, y) (y - x)^lift as a trivariate polynomial on the legs _LEGS[a]."""
+    z = 2 - a  # the slot p does not use
+    return Sparse({(*e[:z], 0, *e[z:]): c for e, c in mul_vu_pow(p, lift).items()})
+
+
 def cyb_spectral(alg, r: SpectralTensor2) -> SpectralCyb:
-    """[r12, r13] + [r12, r23] + [r13, r23] over a common denominator."""
-    entries = list(r.items())
-    # contributions: list of (tensor-key, trivar numerator, den exponent triple)
-    contribs = []
-    for (i, j), fij in entries:
-        f12 = _tri_embed(fij.num, 0, 1)  # first factor read as r12(u, v)
-        f13 = _tri_embed(fij.num, 0, 2)  # ... or as r13(u, w)
-        for (k, l), gkl in entries:
-            g13 = _tri_embed(gkl.num, 0, 2)  # second factor as r13(u, w)
-            g23 = _tri_embed(gkl.num, 1, 2)  # ... or as r23(v, w)
-            prod = poly_mul(f12, g13)
-            dens = (fij.den_pow, gkl.den_pow, 0)
-            for m, cm in bracket_basis(alg, i, k).items():
-                contribs.append(((m, j, l), cm * prod, dens))
-            prod = poly_mul(f12, g23)
-            dens = (fij.den_pow, 0, gkl.den_pow)
-            for m, cm in bracket_basis(alg, j, k).items():
-                contribs.append(((i, m, l), cm * prod, dens))
-            prod = poly_mul(f13, g23)
-            dens = (0, fij.den_pow, gkl.den_pow)
-            for m, cm in bracket_basis(alg, j, l).items():
-                contribs.append(((i, k, m), cm * prod, dens))
-    if not contribs:
-        return SpectralCyb(Sparse(), (0, 0, 0))
-    common = tuple(max(d[s] for (_, _, d) in contribs) for s in range(3))
-    total = Sparse()
-    for key, num, dens in contribs:
-        for s in range(3):
-            for _ in range(common[s] - dens[s]):
-                num = poly_mul(num, _DIFFS[s])
-        for mono, c in num.items():
-            total.iadd(key + mono, c)
-    return SpectralCyb(total, common)
+    """[r12, r13] + [r12, r23] + [r13, r23] over a common denominator,
+    one integer constant bracket and one trivariate product per pair of
+    factors and CYBE term.  Each slot of the common denominator is the
+    largest den_pow that meets a nonzero structure constant there."""
+    facs = _factors(r)
+    terms, common = [], [0, 0, 0]
+    for da, pa, ta in facs:
+        for db, pb, tb in facs:
+            for a, b in _LEGS:
+                br, met = _bracket3(alg, ta, tb, _LEGS[a], _LEGS[b])
+                if met:
+                    common[a], common[b] = max(common[a], da), max(common[b], db)
+                terms.append((br, a, da, pa, b, db, pb))
+    prods = []
+    for br, a, da, pa, b, db, pb in terms:
+        miss = 3 - a - b  # the slot that neither factor uses
+        prod = poly_mul(_on_legs(pa, a, common[a] - da), _on_legs(pb, b, common[b] - db))
+        prods.append((br, poly_mul(prod, _on_legs(Sparse({(0, 0): 1}), miss, common[miss]))))
+    # summed as ints over one common denominator: Fraction only for what survives
+    den = lcm(*(c.denominator for _, p in prods for c in p.values()))
+    acc = {}
+    for br, prod in prods:
+        for mono, c in prod.items():
+            c = c.numerator * (den // c.denominator)
+            for key, cb in br.items():
+                k = key + mono
+                acc[k] = acc.get(k, 0) + cb * c
+    return SpectralCyb(Sparse((k, Fraction(c, den)) for k, c in acc.items() if c), tuple(common))

@@ -152,6 +152,10 @@ class RowSpan:
     def dim(self) -> int:
         return len(self._rows)
 
+    @property
+    def rows(self) -> dict:  # pivot key -> row; read only
+        return self._rows
+
 
 def _sub_multiple(vec: Sparse, c, row: Sparse):
     """vec -= c * row, in place."""

@@ -363,6 +363,24 @@ def test_verify_corrupted_coefficient(tmp_path, capsys):
     ]
 
 
+def test_verify_duality_names_first_differing_coefficient(tmp_path):
+    out = build_file(tmp_path)
+    doc = json.loads(out.read_text())
+    doc["entries"][0]["num"][0][2] = "9/7"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    report = tmp_path / "rep.json"
+    argv = ["verify", "--in", str(bad), "--case", "I:two-points:1,2",
+            "--checks", "duality", "--degree", "2", "--out", str(report)]
+    assert main(argv) == 1
+    # the least (i, j, deg_u, deg_v) at which the series and the tensor differ
+    assert json.loads(report.read_text())["checks"] == [
+        {"check": "duality", "pass": False, "witness": {
+            "i": "E(1,2)", "j": "F(1,2)", "deg_u": 0, "deg_v": -1,
+            "series": "1", "tensor": "9/7"}},
+    ]
+
+
 def test_verify_equiv_examines_the_file(tmp_path, capsys):
     out = build_file(tmp_path)
     doc = json.loads(out.read_text())

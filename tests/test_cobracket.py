@@ -14,7 +14,6 @@ from lbforge.cobracket import (
     check_cojacobi,
     check_skew,
     delta,
-    g_poly,
 )
 from lbforge.liealg import basis_element, build_sl, jordanian
 from lbforge.lagrangian import catalog_w0
@@ -108,6 +107,11 @@ def test_bracket_poly():
     # [e u, f u^2] = h u^3
     lhs = bracket_poly(ALG, E_U, Sparse({(1, 2): Fraction(1)}))
     assert lhs == Sparse({(2, 3): Fraction(1)})
+
+
+def g_poly(x, degree=0):
+    """x * u^degree as an element of g[u]."""
+    return Sparse((((i, degree), c) for i, c in x.items()))
 
 
 def test_g_poly_helper():
@@ -271,9 +275,9 @@ def _count_delta(monkeypatch):
     keys = []
     original = lbforge.cobracket.delta
 
-    def counting(alg, r, f):
+    def counting(alg, r, f, **kwargs):
         keys.append(tuple(sorted(f.items())))
-        return original(alg, r, f)
+        return original(alg, r, f, **kwargs)
 
     monkeypatch.setattr(lbforge.cobracket, "delta", counting)
     return keys
@@ -287,6 +291,21 @@ def test_sweep_computes_each_basis_cobracket_once(monkeypatch):
     assert all(rec["pass"] for rec in records)
     assert keys and len(keys) == len(set(keys))
     assert all(len(k) == 1 and k[0][1] == 1 for k in keys)  # unit monomials only
+
+
+def test_sweep_lifts_r_once(monkeypatch):
+    lifts = []
+    original = lbforge.cobracket.lift
+
+    def counting(r):
+        lifts.append(r)
+        return original(r)
+
+    monkeypatch.setattr(lbforge.cobracket, "lift", counting)
+    spec = CaseSpec.parse("I:two-points:1,2")
+    r = build_r(ALG, spec, catalog_rkind(ALG, spec))
+    axiom_sweep(ALG, "I:two-points:1,2", r, 2)
+    assert lifts == [r]
 
 
 def _without_f_e(alg, r):

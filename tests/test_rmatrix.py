@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbforge.errors import InvalidParameterError, KindMismatchError
-from lbforge.liealg import build_sl, casimir, jordanian, r_c1c2, r_dj, swap2
+from lbforge.liealg import bracket_basis, build_sl, casimir, jordanian, r_c1c2, r_dj, swap2
 from lbforge.lagrangian import catalog_w0
 from lbforge.pairing import CaseSpec
 from lbforge.ratfun import bivar, poly2
@@ -20,7 +22,7 @@ from lbforge.rmatrix import (
     skew_spectral_check,
     sum_dual_series,
 )
-from lbforge.sparse import Sparse
+from lbforge.sparse import Sparse, poly_mul
 
 ALG = build_sl(2)
 ALL_CASES = [
@@ -153,6 +155,131 @@ def test_skew_check_examples():
     assert skew_spectral_check(omega_over_vu())
     r = build_r(ALG, CaseSpec.parse("I:two-points:1,2"), RKind.mcybe(ALG, r_dj(ALG)))
     assert skew_spectral_check(r)
+
+
+# -- CYBE against the entry-by-entry oracle -----------------------------------
+
+def _tri_embed(p, slot_a, slot_b):
+    """Embed a bivariate numerator into trivariate exponent keys."""
+    out = Sparse()
+    for (a, b), c in p.items():
+        key = [0, 0, 0]
+        key[slot_a] = a
+        key[slot_b] = b
+        out.iadd(tuple(key), c)
+    return out
+
+
+# trivariate difference polynomials: v-u, w-u, w-v
+_DIFFS = (
+    Sparse({(0, 1, 0): 1, (1, 0, 0): -1}),
+    Sparse({(0, 0, 1): 1, (1, 0, 0): -1}),
+    Sparse({(0, 0, 1): 1, (0, 1, 0): -1}),
+)
+
+
+def cyb_oracle(alg, r):
+    """CYB(r) as (numerators, den_pows), one trivariate product per ordered
+    pair of entries and CYBE term."""
+    entries = list(r.items())
+    contribs = []
+    for (i, j), fij in entries:
+        f12 = _tri_embed(fij.num, 0, 1)  # first factor read as r12(u, v)
+        f13 = _tri_embed(fij.num, 0, 2)  # ... or as r13(u, w)
+        for (k, l), gkl in entries:
+            g13 = _tri_embed(gkl.num, 0, 2)  # second factor as r13(u, w)
+            g23 = _tri_embed(gkl.num, 1, 2)  # ... or as r23(v, w)
+            for prod, dens, bra, place in (
+                (poly_mul(f12, g13), (fij.den_pow, gkl.den_pow, 0), (i, k),
+                 lambda m: (m, j, l)),
+                (poly_mul(f12, g23), (fij.den_pow, 0, gkl.den_pow), (j, k),
+                 lambda m: (i, m, l)),
+                (poly_mul(f13, g23), (0, fij.den_pow, gkl.den_pow), (j, l),
+                 lambda m: (i, k, m)),
+            ):
+                for m, cm in bracket_basis(alg, *bra).items():
+                    contribs.append((place(m), cm * prod, dens))
+    if not contribs:
+        return Sparse(), (0, 0, 0)
+    common = tuple(max(d[s] for (_, _, d) in contribs) for s in range(3))
+    total = Sparse()
+    for key, num, dens in contribs:
+        for s in range(3):
+            for _ in range(common[s] - dens[s]):
+                num = poly_mul(num, _DIFFS[s])
+        for mono, c in num.items():
+            total.iadd(key + mono, c)
+    return total, common
+
+
+def assert_matches_oracle(alg, r):
+    got = cyb_spectral(alg, r)
+    assert (got.numerators, got.den_pows) == cyb_oracle(alg, r)
+    return got
+
+
+@st.composite
+def spectral_tensors(draw):
+    """A random tensor over sl_2 or sl_3, entries with den_pow 0..2."""
+    alg = draw(st.sampled_from([ALG, build_sl(3)]))
+    monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    keys = st.tuples(st.integers(0, alg.dim - 1), st.integers(0, alg.dim - 1))
+    entries = draw(st.dictionaries(keys, st.tuples(
+        st.dictionaries(monos, coeffs, min_size=1, max_size=3),
+        st.integers(0, 2)), max_size=6))
+    r = SpectralTensor2()
+    for key, (num, den_pow) in entries.items():
+        r.add_entry(key, bivar(Sparse(num), den_pow))
+    return alg, r
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectral_tensors())
+def test_cyb_matches_oracle_on_random_tensors(case):
+    assert_matches_oracle(*case)
+
+
+def test_cyb_of_empty_tensor():
+    got = assert_matches_oracle(ALG, SpectralTensor2())
+    assert got.is_zero() and got.den_pows == (0, 0, 0)
+
+
+def test_cyb_without_a_nonzero_bracket_has_no_denominator():
+    # Cartan-only entries commute, so no term exists at any den_pow
+    alg = build_sl(3)
+    h1, h2 = alg.h_index(1), alg.h_index(2)
+    r = SpectralTensor2({
+        (h1, h2): bivar(poly2({(0, 0): 1}), 2),
+        (h2, h2): bivar(poly2({(1, 0): 3}), 1),
+    })
+    got = assert_matches_oracle(alg, r)
+    assert got.is_zero() and got.den_pows == (0, 0, 0)
+
+
+def test_cyb_common_denominator_per_slot():
+    # E (x) F / (v-u)^2 meets a nonzero bracket in [r12, r23] only:
+    # (w-u) is not in the denominator
+    alg = build_sl(3)
+    e, f = alg.basis.index("E(1,2)"), alg.basis.index("F(1,2)")
+    r = SpectralTensor2({(e, f): bivar(poly2({(0, 0): 1}), 2)})
+    got = assert_matches_oracle(alg, r)
+    assert not got.is_zero() and got.den_pows == (2, 0, 2)
+
+
+@pytest.mark.parametrize("text", ALL_CASES)
+def test_cyb_matches_oracle_on_edited_families(text):
+    # one entry doubled and one dropped: CYB no longer vanishes
+    alg = build_sl(3)
+    spec = CaseSpec.parse(text)
+    r = build_r(alg, spec, catalog_rkind(alg, spec))
+    assert assert_matches_oracle(alg, r).is_zero()
+    (first, val), *_, (last, _) = r.items()
+    doubled = SpectralTensor2(dict(r.entries))
+    doubled.add_entry(first, val)
+    assert not assert_matches_oracle(alg, doubled).is_zero()
+    dropped = SpectralTensor2({k: v for k, v in r.items() if k != last})
+    assert not assert_matches_oracle(alg, dropped).is_zero()
 
 
 # -- series -------------------------------------------------------------------
