@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Compare the benchmark of two git revisions.
 
-    python3 scripts/bench_compare.py --base HEAD~1 [--change HEAD] --out BENCH_<slug>.json
+    python3 scripts/bench_compare.py --base HEAD~1 --out BENCH_<slug>.json
 
-Both revisions are extracted with ``git archive`` into temporary
-directories, so both sides run from fresh trees of committed files at the
-same kind of path (uncommitted edits are not measured).  For every
-workload and every seed, ``perfbench/run.py`` runs once on each tree, in a
-fresh process; odd seeds run the base first and
-even seeds the change first, so a drift of the host's speed falls on both
-sides alike.  The report lists, per workload and end-to-end metric of
+The base revision and HEAD (the change) are extracted with ``git archive``
+into temporary directories, so both sides run from fresh trees of committed
+files (uncommitted edits are not measured).  For every workload of
+``BENCHMARK.json`` and every seed 1-10, ``perfbench/run.py`` runs once on
+each tree for ``run_seconds``, in a fresh process; odd seeds run the base
+first and even seeds the change first, so a drift of the host's speed falls
+on both sides alike.  The report lists, per workload and end-to-end metric of
 ``BENCHMARK.json``, the median and quartiles of each side, how many pairs
 the change won, the metric's bound and the relative change of the median,
 and, per side, whether every run was ``correct`` and how many jobs failed.
@@ -35,18 +35,8 @@ BENCH = ROOT / "BENCHMARK.json"
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--change", default="HEAD", help="git revision measured (default HEAD)")
     parser.add_argument("--out", required=True, help="report path, e.g. BENCH_<slug>.json")
-    parser.add_argument("--workloads", default=None,
-                        help="comma list (default: every workload in BENCHMARK.json)")
-    parser.add_argument("--pairs", type=int, default=10,
-                        help="base/change pairs per workload, on seeds 1..pairs")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="passed to perfbench/run.py (default: BENCHMARK.json run_seconds)")
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (quartiles need two runs per side)")
-    return args
+    return parser.parse_args(argv)
 
 
 def git(*args) -> bytes:
@@ -94,17 +84,13 @@ def compare(metric, base_runs, change_runs):
 def main(argv=None):
     args = parse_args(argv)
     spec = json.loads(BENCH.read_text(encoding="utf-8"))
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    seeds = list(range(1, args.pairs + 1))
+    names = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    seeds = list(range(1, 11))
     shas = {side: git("rev-parse", rev).decode().strip()
-            for side, rev in (("base", args.base), ("change", args.change))}
-    # the src/ tree ids still name the measured code after a commit is amended
-    src_trees = {side: git("rev-parse", f"{sha}:src").decode().strip() for side, sha in shas.items()}
+            for side, rev in (("base", args.base), ("change", "HEAD"))}
     report = {
-        "base": args.base, "base_commit": shas["base"], "base_src_tree": src_trees["base"],
-        "change": args.change, "change_commit": shas["change"],
-        "change_src_tree": src_trees["change"],
+        "base": args.base, "base_commit": shas["base"], "change_commit": shas["change"],
         "seeds": seeds, "seconds": seconds,
         "order": "odd seeds run the base first, even seeds the change first",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
@@ -112,7 +98,8 @@ def main(argv=None):
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-compare-") as tmp:
-        trees = {side: Path(tmp) / side for side in shas}
+        # same-length paths: the tree's path is part of what each run allocates
+        trees = {side: Path(tmp) / side[0] for side in shas}
         for side, tree in trees.items():
             tree.mkdir()
             extract(shas[side], tree)

@@ -191,14 +191,12 @@ def _check_duality(alg, r, spec, args):
     closed = expand_region(r, n)
     if series == closed:
         return True, None
-    # the least (i, j, deg_u, deg_v) at which the two coefficients differ
-    flat = [{key + mono: c for key, p in t.items() for mono, c in p.items()}
-            for t in (series, closed)]
-    i, j, du, dv = k = min(k for k in flat[0].keys() | flat[1].keys()
-                           if flat[0].get(k) != flat[1].get(k))
+    s, t = ({key + mono: c for key, p in d.items() for mono, c in p.items()}
+            for d in (series, closed))
+    i, j, du, dv = k = min(k for k in s.keys() | t.keys() if s.get(k) != t.get(k))
     return False, {"i": alg.basis[i], "j": alg.basis[j], "deg_u": du, "deg_v": dv,
-                   "series": serialize.frac_str(flat[0].get(k, 0)),
-                   "tensor": serialize.frac_str(flat[1].get(k, 0))}
+                   "series": serialize.frac_str(s.get(k, 0)),
+                   "tensor": serialize.frac_str(t.get(k, 0))}
 
 
 def _check_delta_axioms(alg, r, spec, args):

@@ -22,6 +22,11 @@ from .rmatrix import SpectralTensor2
 from .sparse import Sparse
 
 
+def g_poly(x: Sparse, degree: int = 0) -> Sparse:
+    """x * u^degree as an element of g[u]."""
+    return Sparse((((i, degree), c) for i, c in x.items()))
+
+
 def lift(r: SpectralTensor2):
     """(top, numerators): every entry of r put over one (v - u)^top."""
     top = max((val.den_pow for _, val in r.items()), default=0)
@@ -31,10 +36,9 @@ def lift(r: SpectralTensor2):
 def delta(alg: LieAlgebraData, r: SpectralTensor2, f: Sparse, lifted=None):
     """The cobracket value on f, as {(i, j): bivariate polynomial}.
 
-    Every entry of r is put over one (v - u)^top (``lifted`` is ``lift(r)``
-    when the caller has it), the ad-action of f is applied to the numerators,
-    and the result is certified polynomial by exact division by (v - u), top
-    times.
+    Every entry of r is put over one (v - u)^top (``lifted`` is ``lift(r)``,
+    if given), the ad-action of f is applied to the numerators, and the
+    result is certified polynomial by exact division by (v - u), top times.
     """
     if any(d < 0 for (_, d) in f):
         raise InvalidParameterError("f must be polynomial in u")
@@ -85,8 +89,8 @@ class BasisCobrackets:
     def basis(self, key):
         if key not in self._memo:
             try:
-                unit = Sparse({key: Fraction(1)})
-                self._memo[key] = delta(self.alg, self.r, unit, lifted=self._lifted)
+                f = Sparse({key: Fraction(1)})
+                self._memo[key] = delta(self.alg, self.r, f, lifted=self._lifted)
             except NotPolynomialError:
                 self._memo[key] = None
         return self._memo[key]

@@ -72,6 +72,11 @@ def residue(f: Sparse, a: RatFun1) -> Fraction:
     return total
 
 
+def laurent_shift(f: Sparse, m: int) -> Sparse:
+    """Multiply a Laurent scalar by u^m."""
+    return Sparse(((k + m, c) for k, c in f.items()))
+
+
 # -- bivariate layer ---------------------------------------------------------
 
 def poly2(entries) -> Sparse:

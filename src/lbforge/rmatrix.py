@@ -256,14 +256,12 @@ def _factors(r: SpectralTensor2):
     spans = {}
     for _, val in r.items():
         spans.setdefault(val.den_pow, RowSpan()).add(val.num)
-    out = []
     for d, span in spans.items():
         for piv, phi in span.rows.items():
             t = {k: v.num[piv] for k, v in r.items() if v.den_pow == d and piv in v.num}
             s = Fraction(lcm(*(c.denominator for c in t.values())),
                          gcd(*(c.numerator for c in t.values())))
-            out.append((d, (1 / s) * phi, {k: (c * s).numerator for k, c in t.items()}))
-    return out
+            yield d, (1 / s) * phi, {k: (c * s).numerator for k, c in t.items()}
 
 
 def _bracket3(alg, ta: dict, tb: dict, legs_a, legs_b):
@@ -289,9 +287,8 @@ def _bracket3(alg, ta: dict, tb: dict, legs_a, legs_b):
 
 
 def _on_legs(p: Sparse, a: int, lift: int) -> Sparse:
-    """p(x, y) (y - x)^lift as a trivariate polynomial on the legs _LEGS[a]."""
-    z = 2 - a  # the slot p does not use
-    return Sparse({(*e[:z], 0, *e[z:]): c for e, c in mul_vu_pow(p, lift).items()})
+    """p(x, y) (y - x)^lift, trivariate on the legs _LEGS[a]; slot 2 - a stays 0."""
+    return Sparse({(*e[:2 - a], 0, *e[2 - a:]): c for e, c in mul_vu_pow(p, lift).items()})
 
 
 def cyb_spectral(alg, r: SpectralTensor2) -> SpectralCyb:
@@ -299,7 +296,7 @@ def cyb_spectral(alg, r: SpectralTensor2) -> SpectralCyb:
     one integer constant bracket and one trivariate product per pair of
     factors and CYBE term.  Each slot of the common denominator is the
     largest den_pow that meets a nonzero structure constant there."""
-    facs = _factors(r)
+    facs = list(_factors(r))
     terms, common = [], [0, 0, 0]
     for da, pa, ta in facs:
         for db, pb, tb in facs:
@@ -307,12 +304,13 @@ def cyb_spectral(alg, r: SpectralTensor2) -> SpectralCyb:
                 br, met = _bracket3(alg, ta, tb, _LEGS[a], _LEGS[b])
                 if met:
                     common[a], common[b] = max(common[a], da), max(common[b], db)
-                terms.append((br, a, da, pa, b, db, pb))
-    prods = []
-    for br, a, da, pa, b, db, pb in terms:
-        miss = 3 - a - b  # the slot that neither factor uses
-        prod = poly_mul(_on_legs(pa, a, common[a] - da), _on_legs(pb, b, common[b] - db))
-        prods.append((br, poly_mul(prod, _on_legs(Sparse({(0, 0): 1}), miss, common[miss]))))
+                if br:
+                    terms.append((br, a, da, pa, b, db, pb))
+    # the common power of the slot a term leaves out: 3 - a - b for term (a, b)
+    fill = [_on_legs(Sparse({(0, 0): 1}), m, common[m]) for m in range(3)]
+    prods = [(br, poly_mul(poly_mul(_on_legs(pa, a, common[a] - da),
+                                    _on_legs(pb, b, common[b] - db)), fill[3 - a - b]))
+             for br, a, da, pa, b, db, pb in terms]
     # summed as ints over one common denominator: Fraction only for what survives
     den = lcm(*(c.denominator for _, p in prods for c in p.values()))
     acc = {}
@@ -320,6 +318,5 @@ def cyb_spectral(alg, r: SpectralTensor2) -> SpectralCyb:
         for mono, c in prod.items():
             c = c.numerator * (den // c.denominator)
             for key, cb in br.items():
-                k = key + mono
-                acc[k] = acc.get(k, 0) + cb * c
+                acc[key + mono] = acc.get(key + mono, 0) + cb * c
     return SpectralCyb(Sparse((k, Fraction(c, den)) for k, c in acc.items() if c), tuple(common))

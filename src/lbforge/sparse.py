@@ -100,12 +100,12 @@ def gauss_solve(rows, rhs):
     span = RowSpan()
     for a, b in zip(rows, rhs):
         span.add(Sparse((k, v) for k, v in enumerate([*a, *b]) if v))
-    if any(piv >= n for piv in span._rows):
+    if any(piv >= n for piv in span.rows):
         return None
     if span.dim < n:
         raise ValueError("underdetermined system")
     return [
-        [span._rows[c].get(n + j, Fraction(0)) for j in range(t)]
+        [span.rows[c].get(n + j, Fraction(0)) for j in range(t)]
         for c in range(n)
     ]
 
@@ -120,15 +120,15 @@ class RowSpan:
     """
 
     def __init__(self, key_order=None):
-        self._rows = {}  # pivot key -> row
+        self.rows = {}  # pivot key -> row; read only outside this class
         self._key_order = key_order
 
     def reduce(self, vec: Sparse) -> Sparse:
         """vec minus its combination of stored rows: 0 at every pivot."""
         out = Sparse(vec)
-        for piv in [k for k in vec if k in self._rows]:
+        for piv in [k for k in vec if k in self.rows]:
             # rows vanish at each other's pivots, so out[piv] is still vec[piv]
-            _sub_multiple(out, out[piv], self._rows[piv])
+            _sub_multiple(out, out[piv], self.rows[piv])
         return out
 
     def add(self, vec: Sparse) -> bool:
@@ -138,11 +138,11 @@ class RowSpan:
             return False
         piv = min(residual, key=self._key_order)
         residual = (1 / residual[piv]) * residual
-        for row in self._rows.values():
+        for row in self.rows.values():
             c = row.get(piv)
             if c:
                 _sub_multiple(row, c, residual)
-        self._rows[piv] = residual
+        self.rows[piv] = residual
         return True
 
     def contains(self, vec: Sparse) -> bool:
@@ -150,11 +150,7 @@ class RowSpan:
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> dict:  # pivot key -> row; read only
-        return self._rows
+        return len(self.rows)
 
 
 def _sub_multiple(vec: Sparse, c, row: Sparse):

@@ -14,6 +14,7 @@ from lbforge.cobracket import (
     check_cojacobi,
     check_skew,
     delta,
+    g_poly,
 )
 from lbforge.liealg import basis_element, build_sl, jordanian
 from lbforge.lagrangian import catalog_w0
@@ -107,11 +108,6 @@ def test_bracket_poly():
     # [e u, f u^2] = h u^3
     lhs = bracket_poly(ALG, E_U, Sparse({(1, 2): Fraction(1)}))
     assert lhs == Sparse({(2, 3): Fraction(1)})
-
-
-def g_poly(x, degree=0):
-    """x * u^degree as an element of g[u]."""
-    return Sparse((((i, degree), c) for i, c in x.items()))
 
 
 def test_g_poly_helper():

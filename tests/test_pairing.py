@@ -15,7 +15,7 @@ from lbforge.pairing import (
     q_form,
     validate_case,
 )
-from lbforge.ratfun import expand_at_zero, residue
+from lbforge.ratfun import expand_at_zero, laurent_shift, residue
 from lbforge.sparse import Sparse
 
 ALG = build_sl(2)
@@ -208,11 +208,6 @@ def _k_const(x: Sparse, y: Sparse):
     """K(x, y) on finite summands, as the u^0 term of their constant loops."""
     loops = [Sparse(((i, 0), c) for i, c in z.items()) for z in (x, y)]
     return _k_laurent(*loops).get(0, Fraction(0))
-
-
-def laurent_shift(f, m):
-    """Multiply a Laurent scalar by u^m."""
-    return Sparse(((k + m, c) for k, c in f.items()))
 
 
 def _reference_q_form(spec, x, y):

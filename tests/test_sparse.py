@@ -79,9 +79,9 @@ def test_row_span_rows_stay_fully_reduced(vecs):
     span = RowSpan()
     for vec in vecs:
         span.add(Sparse(vec))
-        for piv, row in span._rows.items():
+        for piv, row in span.rows.items():
             assert row[piv] == 1
-            assert all(other not in row for other in span._rows if other != piv)
+            assert all(other not in row for other in span.rows if other != piv)
 
 
 # cheaper to draw than ``fracs``, which matters for whole matrices
