@@ -17,8 +17,8 @@ from . import serialize
 from .cobracket import axiom_sweep
 from .errors import LbforgeError, MalformedInputError
 from .lagrangian import catalog_w0, dual_basis, is_lagrangian
-from .liealg import basis_element, build_sl, casimir, jordanian, r_dj, swap2
-from .pairing import CaseSpec, admissible_degree, embed_canonical, q_form, validate_case
+from .liealg import build_sl, casimir, jordanian, r_dj, swap2
+from .pairing import CaseSpec, admissible_degree, canonical_pairings, validate_case
 from .rmatrix import (
     RKind,
     build_r,
@@ -175,18 +175,18 @@ def _check_duality(alg, r, spec, args):
     n = args.degree
     w = catalog_w0(alg, spec)
     duals = dual_basis(alg, w, n)
-    canonical = [(j, l, embed_canonical(spec, basis_element(j), l))
-                 for l in range(n + 1) for j in range(alg.dim)]
     for (i, k, el) in duals:
-        for j, l, can in canonical:
-            val = q_form(alg, spec, can, el)
-            want = Fraction(1) if (i, k) == (j, l) else Fraction(0)
-            if val != want:
-                return False, {
-                    "i": f"{alg.basis[j]}*u^{l}",
-                    "j": f"dual({alg.basis[i]}*u^{k})",
-                    "coefficient": serialize.frac_str(val),
-                }
+        pairs = canonical_pairings(alg, spec, el, n)
+        for l in range(n + 1):
+            for j in range(alg.dim):
+                val = pairs.get((j, l), 0)
+                want = 1 if (i, k) == (j, l) else 0
+                if val != want:
+                    return False, {
+                        "i": f"{alg.basis[j]}*u^{l}",
+                        "j": f"dual({alg.basis[i]}*u^{k})",
+                        "coefficient": serialize.frac_str(val),
+                    }
     series = sum_dual_series(alg, w, n, duals)
     closed = expand_region(r, n)
     if series == closed:

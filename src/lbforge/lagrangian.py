@@ -23,9 +23,9 @@ from .errors import (
     ShapeMismatchError,
 )
 from .liealg import LieAlgebraData, basis_element, bracket, bracket_poly, form
-from .pairing import CaseSpec, DoubleElement, embed_canonical, q_form
+from .pairing import CaseSpec, DoubleElement, canonical_pairings, embed_canonical, q_form
 from .ratfun import poly1
-from .sparse import RowSpan, Sparse, gauss_solve
+from .sparse import RowSpan, Sparse
 
 
 @dataclass
@@ -295,7 +295,13 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
     """Isotropy, bracket closure, and transversality on a degree window.
 
     The window must cover the head generators and one tail step, else the
-    test is inconclusive.
+    test is inconclusive.  Closure brackets only the pairs that contain a
+    head generator: two tail monomials m(t) t^a x and m(t) t^b y with
+    deg m + a, deg m + b <= window bracket to m(t) (m(t) t^{a+b}) [x, y],
+    a combination of tail monomials m(t) t^j z with deg m + j <= 2 window,
+    so it lies in the wide window's span for any m and any head.  A head
+    times a tail monomial is bracketed, since a head read from a file may
+    carry positive powers of u.
     """
     head_deg = max(
         (max((-d for (_, d) in g.loop), default=0) for g in w.head), default=0
@@ -318,20 +324,16 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
         if not isotropic:
             break
 
-    # closure: brackets of window elements stay in the span of the wider window
+    # closure: brackets with a head generator stay in the wider window's span
     wide = window_basis(alg, w, 2 * window)
     span = RowSpan(key_order=_coord_key)
     for el in wide:
         span.add(_de_coords(el))
-    closed = True
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            br = de_bracket(alg, w.spec, basis[a], basis[b])
-            if not span.contains(_de_coords(br)):
-                closed = False
-                break
-        if not closed:
-            break
+    closed = all(
+        span.contains(_de_coords(de_bracket(alg, w.spec, basis[a], basis[b])))
+        for a in range(len(w.head))
+        for b in range(a + 1, len(basis))
+    )
 
     # transversality: W-window plus canonical window spans the slice
     slice_span = RowSpan(key_order=_coord_key)
@@ -359,41 +361,34 @@ def dual_basis(alg, w: WPresentation, truncation: int):
     Returns [(basis index, degree, element)] for every canonical vector
     x u^k with k <= truncation, where the element pairs to 1 with its
     partner and to 0 with every other canonical vector.  Solved as one
-    exact linear system over the W window; a singular system means the
-    presentation is not transversal.
+    exact linear system over the W window: one sparse row per canonical
+    vector the window can pair against, read off the pairing maps of the
+    window elements, with the unknowns 0..n-1 before the right-hand sides
+    n..; a singular system means the presentation is not transversal.
     """
     depth = truncation + 3
     wbasis = window_basis(alg, w, depth)
-    # rows: all canonical vectors the window can pair against
-    rows = []
-    targets = []
-    for k in range(depth + 3):
-        for i in range(alg.dim):
-            can = embed_canonical(w.spec, basis_element(i), k)
-            rows.append([q_form(alg, w.spec, can, wel) for wel in wbasis])
-            targets.append((i, k))
-    rhs = []
-    wanted = [
-        (i, k) for k in range(truncation + 1) for i in range(alg.dim)
-    ]
-    col_of = {t: c for c, t in enumerate(wanted)}
-    for t in targets:
-        row = [Fraction(0)] * len(wanted)
-        if t in col_of:
-            row[col_of[t]] = Fraction(1)
-        rhs.append(row)
-    try:
-        sol = gauss_solve(rows, rhs)
-    except ValueError as exc:
-        raise NotTransversalError("dual-basis system is singular") from exc
-    if sol is None:
+    n = len(wbasis)
+    rows = {(i, k): Sparse() for k in range(depth + 3) for i in range(alg.dim)}
+    for b, wel in enumerate(wbasis):
+        for key, val in canonical_pairings(alg, w.spec, wel, depth + 2).items():
+            rows[key][b] = val
+    wanted = [(i, k) for k in range(truncation + 1) for i in range(alg.dim)]
+    for c, key in enumerate(wanted):
+        rows[key][n + c] = Fraction(1)
+    span = RowSpan()
+    for row in rows.values():
+        span.add(row)
+    if any(piv >= n for piv in span.rows):
         raise NotTransversalError("dual-basis system is inconsistent")
-    out = []
-    for c, (i, k) in enumerate(wanted):
-        el = DoubleElement(Sparse())
-        for b, wel in enumerate(wbasis):
-            coeff = sol[b][c]
-            if coeff:
-                el = el + coeff * wel
-        out.append((i, k, el))
-    return out
+    if span.dim < n:
+        raise NotTransversalError("dual-basis system is singular")
+    duals = [DoubleElement(Sparse()) for _ in wanted]
+    for b, wel in enumerate(wbasis):
+        for c, coeff in span.rows[b].items():
+            if c >= n:
+                el = duals[c - n]
+                for mine, theirs in ((el.loop, wel.loop), (el.fin, wel.fin), (el.eps, wel.eps)):
+                    for key, val in theirs.items():
+                        mine.iadd(key, coeff * val)
+    return [(i, k, el) for (i, k), el in zip(wanted, duals)]

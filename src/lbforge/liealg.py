@@ -93,11 +93,12 @@ def _in_basis(mat, roots, n):
             out.iadd(roots.index((i, j)), c)
         elif i > j:
             out.iadd(npos + roots.index((j, i)), c)
-    # diagonal part: partial sums give the H coordinates
-    acc = Fraction(0)
-    for i in range(1, n):
-        acc += mat.get((i, i), Fraction(0))
-        out.iadd(2 * npos + (i - 1), acc)
+    if any(i == j for i, j in mat):
+        # diagonal part: partial sums give the H coordinates
+        acc = Fraction(0)
+        for i in range(1, n):
+            acc += mat.get((i, i), Fraction(0))
+            out.iadd(2 * npos + (i - 1), acc)
     return out
 
 

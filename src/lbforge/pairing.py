@@ -29,6 +29,10 @@ over the loop terms c1 x_i u^k of f1 and c2 x_j u^l of f2 with k + l < s.
 The canonical copy of g[u] sits inside the double with finite components
 read off from the value and first derivative at u = 0 (types II and III);
 this is the unique embedding that makes g[u] isotropic.
+
+``canonical_pairings`` reads the pairing as a sparse linear map: all the
+Q(x_i u^k, y) of one y with the canonical basis up to a degree, from y's
+loop terms and the nonzero trace-form entries of their rows.
 """
 
 from __future__ import annotations
@@ -237,3 +241,30 @@ def q_form(alg: LieAlgebraData, spec: CaseSpec, x: DoubleElement, y: DoubleEleme
     elif spec.double_type == "III":
         total -= form(alg, x.eps, y.fin) + form(alg, x.fin, y.eps)
     return total
+
+
+def canonical_pairings(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmax: int) -> Sparse:
+    """(i, k) -> Q(x_i u^k, y) over the canonical basis with k <= kmax;
+    equals q_form(alg, spec, embed_canonical(spec, x_i, k), y)."""
+    check_shape(spec, y)
+    s = DOUBLE_TYPES.index(spec.double_type)
+    gram = alg.gram
+    if y.loop:
+        top = s - 1 - min(l for _, l in y.loop)
+        taylor = spec.taylor(top) if top >= 0 else ()
+    out = Sparse()
+    for (j, l), c in y.loop.items():
+        ks = range(min(kmax, s - 1 - l) + 1)
+        for i, g in enumerate(gram[j]):
+            if g:
+                cg = c * g
+                for k in ks:
+                    out.iadd((i, k), cg * taylor[s - 1 - k - l])
+    # x_i u^0 carries fin = x_i (types II, III) and x_i u^1 carries eps = x_i (III)
+    finite = ((0, y.eps), (1, y.fin)) if spec.double_type == "III" else ((0, y.fin),)
+    for k, part in finite[: kmax + 1]:
+        for j, c in part.items():
+            for i, g in enumerate(gram[j]):
+                if g:
+                    out.iadd((i, k), -c * g)
+    return out

@@ -6,8 +6,9 @@ values; the zero vector is the empty dict.  Keys are basis indices, exponents,
 exponent tuples, or coordinate tags -- the semantics live in the callers.
 
 ``RowSpan`` keeps a row space in reduced row echelon form; it serves the
-membership and rank tests of the Lagrangian checks, and ``gauss_solve``
-solves dense linear systems by feeding it the augmented rows.
+membership and rank tests of the Lagrangian checks and the sparse dual-basis
+system, and ``gauss_solve``, which now serves only the Gram inverse of
+``build_sl``, solves a dense linear system by feeding it the augmented rows.
 """
 
 from __future__ import annotations

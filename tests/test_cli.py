@@ -415,6 +415,43 @@ def test_duality_solves_dual_basis_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_duality_names_first_pairing_mismatch(tmp_path, monkeypatch):
+    import lbforge.cli
+
+    real = lbforge.cli.dual_basis
+
+    def perturbed(alg, w, truncation):
+        duals = real(alg, w, truncation)
+        by_key = {(i, k): el for i, k, el in duals}
+        i, k, el = duals[0]
+        duals[0] = (i, k, el + Fraction(2, 3) * by_key[(1, 1)])
+        return duals
+
+    monkeypatch.setattr(lbforge.cli, "dual_basis", perturbed)
+    out = build_file(tmp_path)
+    report = tmp_path / "rep.json"
+    argv = ["verify", "--in", str(out), "--case", "I:two-points:1,2",
+            "--checks", "duality", "--degree", "2", "--out", str(report)]
+    assert main(argv) == 1
+    # the first canonical vector, in (degree, index) order, that the first
+    # dual pairs with wrongly
+    assert report.read_bytes() == b"""{
+  "checks": [
+    {
+      "check": "duality",
+      "pass": false,
+      "witness": {
+        "coefficient": "2/3",
+        "i": "F(1,2)*u^1",
+        "j": "dual(E(1,2)*u^0)"
+      }
+    }
+  ],
+  "pass": false
+}
+"""
+
+
 def test_non_polynomial_cobracket_fails_with_witness(tmp_path, capsys):
     path = build_file(tmp_path, case="I:constant", r="zero")
     doc = json.loads(path.read_text())

@@ -28,7 +28,7 @@ from lbforge.lagrangian import (
 )
 from lbforge.pairing import CaseSpec, DoubleElement, embed_canonical, q_form
 from lbforge.ratfun import poly1
-from lbforge.sparse import Sparse
+from lbforge.sparse import Sparse, gauss_solve
 
 ALG = build_sl(2)
 ALL_CASES = [
@@ -220,6 +220,23 @@ def test_full_negative_half_fails_isotropy():
     assert not report.isotropic
 
 
+def test_head_bracket_leaving_w_is_not_closed():
+    # head e, f without h: [e, f] = h u^0 is no combination of e, f and the
+    # tail (t - 1)(t - 2) g[t]
+    spec = tp()
+    w = WPresentation(spec, [DoubleElement(Sparse({(i, 0): 1})) for i in (0, 1)],
+                      tail_poly(spec))
+    assert is_lagrangian(ALG, w, 6).closed is False
+
+
+def test_head_with_positive_power_times_tail_is_not_closed():
+    # [e u, f u^{-2}] = h u^{-1}, which is neither in the tail u^{-2} g[u^{-1}]
+    # nor a multiple of the only head e u
+    spec = CaseSpec.parse("I:constant")
+    w = WPresentation(spec, [DoubleElement(Sparse({(0, 1): 1}))], tail_poly(spec))
+    assert is_lagrangian(ALG, w, 6).closed is False
+
+
 def test_window_too_small():
     spec = tp()
     with pytest.raises(InconclusiveWindowError):
@@ -294,9 +311,46 @@ def test_duals_lie_in_window_span(text):
         assert span.contains(_de_coords(el))
 
 
+def _dense_dual_basis(alg, w, truncation):
+    """The dual basis from dense q_form rows and gauss_solve."""
+    depth = truncation + 3
+    wbasis = window_basis(alg, w, depth)
+    wanted = [(i, k) for k in range(truncation + 1) for i in range(alg.dim)]
+    rows, rhs = [], []
+    for k in range(depth + 3):
+        for i in range(alg.dim):
+            can = embed_canonical(w.spec, basis_element(i), k)
+            rows.append([q_form(alg, w.spec, can, wel) for wel in wbasis])
+            rhs.append([Fraction(int((i, k) == t)) for t in wanted])
+    sol = gauss_solve(rows, rhs)
+    out = []
+    for c, (i, k) in enumerate(wanted):
+        el = DoubleElement(Sparse())
+        for b, wel in enumerate(wbasis):
+            el = el + sol[b][c] * wel
+        out.append((i, k, el))
+    return out
+
+
+@pytest.mark.parametrize("text", ALL_CASES)
+def test_dual_basis_matches_dense_oracle(text):
+    alg = build_sl(3)
+    w = catalog_w0(alg, CaseSpec.parse(text))
+    assert dual_basis(alg, w, 6) == _dense_dual_basis(alg, w, 6)
+
+
 def test_dual_basis_not_transversal():
     # a presentation missing the head generators cannot reach degree 0 duals
     spec = CaseSpec.parse("I:constant")
     w = WPresentation(spec, [], poly1({2: 1}))  # only t^2 g[t]
-    with pytest.raises(NotTransversalError):
+    with pytest.raises(NotTransversalError, match="inconsistent"):
+        dual_basis(ALG, w, 1)
+
+
+def test_dual_basis_singular():
+    # a repeated head generator makes two unknowns of the system equal
+    spec = CaseSpec.parse("I:constant")
+    w = catalog_w0(ALG, spec)
+    w = WPresentation(spec, w.head + w.head[:1], w.tail)
+    with pytest.raises(NotTransversalError, match="singular"):
         dual_basis(ALG, w, 1)

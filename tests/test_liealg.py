@@ -71,7 +71,7 @@ def to_dense(alg, x: Sparse, mats):
     return out
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_structure_constants_match_matrix_commutators(n):
     alg = build_sl(n)
     mats = dense_basis(n)
@@ -82,7 +82,7 @@ def test_structure_constants_match_matrix_commutators(n):
             assert got == expected, (alg.basis[a], alg.basis[b])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_gram_matches_trace_form(n):
     alg = build_sl(n)
     mats = dense_basis(n)

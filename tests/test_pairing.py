@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbforge.errors import InvalidParameterError, ShapeMismatchError
+from lbforge.lagrangian import catalog_w0, window_basis
 from lbforge.liealg import basis_element, build_sl, form
 from lbforge.pairing import (
     CaseSpec,
     DoubleElement,
     admissible_degree,
+    canonical_pairings,
     embed_canonical,
     loop_element,
     q_form,
@@ -237,6 +239,41 @@ def test_q_form_matches_residue_oracle(text, data):
         x = _random_element(data.draw, spec, degrees)
         y = _random_element(data.draw, spec, degrees)
         assert q_form(ALG, spec, x, y) == _reference_q_form(spec, x, y)
+
+
+def assert_pairing_map(alg, spec, y, kmax):
+    """canonical_pairings agrees with q_form on every canonical vector up to
+    kmax and has no key beyond it."""
+    pairs = canonical_pairings(alg, spec, y, kmax)
+    assert all(0 <= k <= kmax for _, k in pairs)
+    for k in range(kmax + 1):
+        for i in range(alg.dim):
+            can = embed_canonical(spec, basis_element(i), k)
+            assert pairs.get((i, k), 0) == q_form(alg, spec, can, y), (i, k)
+
+
+@pytest.mark.parametrize("text", ALL_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_canonical_pairings_match_q_form(text, data):
+    spec = CaseSpec.parse(text)
+    y = _random_element(data.draw, spec, list(range(-6, 4)))
+    assert_pairing_map(ALG, spec, y, data.draw(st.integers(0, 7)))
+
+
+def test_canonical_pairings_check_shape():
+    y = DoubleElement(Sparse(), fin=basis_element(0))
+    with pytest.raises(ShapeMismatchError):
+        canonical_pairings(ALG, CaseSpec.parse("I:constant"), y, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("text", ALL_CASES)
+def test_canonical_pairings_on_catalog_windows(text, n):
+    alg = build_sl(n)
+    spec = CaseSpec.parse(text)
+    for y in window_basis(alg, catalog_w0(alg, spec), 6):
+        assert_pairing_map(alg, spec, y, 8)
 
 
 @pytest.mark.parametrize("text", ALL_CASES)
