@@ -7,8 +7,8 @@ exponent tuples, or coordinate tags -- the semantics live in the callers.
 
 ``RowSpan`` keeps a row space in reduced row echelon form; it serves the
 membership and rank tests of the Lagrangian checks and the sparse dual-basis
-system, and ``gauss_solve``, which now serves only the Gram inverse of
-``build_sl``, solves a dense linear system by feeding it the augmented rows.
+system, and ``gauss_solve`` solves the one dense system, the Gram inverse of
+``build_sl``, by feeding it the augmented rows.
 """
 
 from __future__ import annotations
