@@ -46,6 +46,8 @@ class ConfigError(Exception):
 
 def parse_checks(text: str) -> list:
     checks = [c.strip() for c in text.split(",") if c.strip()]
+    if not checks:
+        raise ConfigError(f"no check named in {text!r}; expected some of {','.join(ALL_CHECKS)}")
     for name in checks:
         if name not in ALL_CHECKS:
             raise ConfigError(f"unknown check {name!r}")
@@ -191,12 +193,11 @@ def _check_duality(alg, r, spec, args):
     closed = expand_region(r, n)
     if series == closed:
         return True, None
-    s, t = ({key + mono: c for key, p in d.items() for mono, c in p.items()}
-            for d in (series, closed))
-    i, j, du, dv = k = min(k for k in s.keys() | t.keys() if s.get(k) != t.get(k))
+    i, j, du, dv = k = min(k for k in series.keys() | closed.keys()
+                           if series.get(k) != closed.get(k))
     return False, {"i": alg.basis[i], "j": alg.basis[j], "deg_u": du, "deg_v": dv,
-                   "series": serialize.frac_str(s.get(k, 0)),
-                   "tensor": serialize.frac_str(t.get(k, 0))}
+                   "series": serialize.frac_str(series.get(k, 0)),
+                   "tensor": serialize.frac_str(closed.get(k, 0))}
 
 
 def _check_delta_axioms(alg, r, spec, args):

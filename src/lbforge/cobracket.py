@@ -2,13 +2,11 @@
 Lie-bialgebra axioms checked on truncated generator sets.
 
 Elements of g[u] are Sparse maps (basis index, degree >= 0) -> Fraction.
-delta lands in g (x) g with bivariate polynomial entries: the commutator
-with the Casimir kernel picks up a factor divisible by (v - u), and the
-division is performed exactly (failure raises NotPolynomialError).
-
-Co-Jacobi is tested in g (x) g (x) g with trivariate polynomial entries;
-the cyclic rotation moves tensor legs while each slot keeps its own
-variable.
+delta lands in g (x) g [u, v], a flat Sparse keyed (i, j, deg_u, deg_v):
+the commutator with the Casimir kernel picks up a factor divisible by
+(v - u), and the division is performed exactly (failure raises
+NotPolynomialError).  Co-Jacobi is tested in g (x) g (x) g [u, v, w], keyed
+(i, j, k, a, b, c); the cyclic rotation moves legs and exponents together.
 """
 
 from __future__ import annotations
@@ -28,46 +26,29 @@ def g_poly(x: Sparse, degree: int = 0) -> Sparse:
 
 
 def lift(r: SpectralTensor2):
-    """(top, numerators): every entry of r put over one (v - u)^top."""
+    """(top, numerators): r put over one (v - u)^top, numerators flat."""
     top = max((val.den_pow for _, val in r.items()), default=0)
-    return top, {key: mul_vu_pow(val.num, top - val.den_pow) for key, val in r.items()}
+    return top, Sparse((key + mono, c) for key, val in r.items()
+                       for mono, c in mul_vu_pow(val.num, top - val.den_pow).items())
 
 
-def delta(alg: LieAlgebraData, r: SpectralTensor2, f: Sparse, lifted=None):
-    """The cobracket value on f, as {(i, j): bivariate polynomial}.
+def delta(alg: LieAlgebraData, r: SpectralTensor2, f: Sparse, lifted=None) -> Sparse:
+    """The cobracket value on f, a flat 2-tensor keyed (i, j, deg_u, deg_v).
 
-    Every entry of r is put over one (v - u)^top (``lifted`` is ``lift(r)``,
-    if given), the ad-action of f is applied to the numerators, and the
-    result is certified polynomial by exact division by (v - u), top times.
+    r is put over one (v - u)^top (``lifted`` is ``lift(r)``, if given),
+    the ad-action of f is applied to the numerators, and the result is
+    certified polynomial by exact division by (v - u), top times.
     """
     if any(d < 0 for (_, d) in f):
         raise InvalidParameterError("f must be polynomial in u")
     top, nums = lift(r) if lifted is None else lifted
-    acc = {}
-    _ad_into(alg, acc, f, nums, 1)
-    out = {}
-    for key, total in acc.items():
-        for _ in range(top):
-            total, rem = poly2_divide_vu(total)
-            if not rem.is_zero():
-                raise NotPolynomialError(
-                    f"entry {key} is not divisible by (v - u)"
-                )
-        if total:
-            out[key] = total
+    out = Sparse()
+    _ad_into(alg, out, f, nums, 1)
+    for _ in range(top):
+        out, rem = poly2_divide_vu(out)
+        if rem:
+            raise NotPolynomialError(f"entry {min(rem)[:2]} is not divisible by (v - u)")
     return out
-
-
-def poly_tensor_eq(a, b, sign: int = 1) -> bool:
-    """a == sign * b for polynomial tensors; sign is 1 or -1."""
-    empty = Sparse()
-    for k in set(a) | set(b):
-        p, q = a.get(k, empty), b.get(k, empty)
-        if p.keys() != q.keys():
-            return False
-        if any(c != (q[m] if sign == 1 else -q[m]) for m, c in p.items()):
-            return False
-    return True
 
 
 class BasisCobrackets:
@@ -100,23 +81,14 @@ class BasisCobrackets:
             (key, c), = f.items()
             if c == 1:
                 return self.basis(key)
-        out = {}
+        out = Sparse()
         for key, c in f.items():
             d = self.basis(key)
             if d is None:
                 return None
-            for pair, p in d.items():
-                _add_into(out, pair, ((mono, c * cm) for mono, cm in p.items()))
-        return {pair: p for pair, p in out.items() if p}
-
-
-def _add_into(out: dict, key, terms):
-    """Add the (monomial, coefficient) terms to the polynomial out[key]."""
-    acc = out.get(key)
-    if acc is None:
-        acc = out[key] = Sparse()
-    for mono, c in terms:
-        acc.iadd(mono, c)
+            for k, cd in d.items():
+                out.iadd(k, c * cd)
+        return out
 
 
 def _direct(alg, r):
@@ -142,24 +114,24 @@ def check_skew(alg, r, f, cobracket=None) -> bool:
     d = cobracket(f)
     if d is None:
         return False
-    total = {}
-    for (i, j), p in d.items():
-        _add_into(total, (i, j), p.items())
-        _add_into(total, (j, i), (((b, a), c) for (a, b), c in p.items()))
-    return all(p.is_zero() for p in total.values())
+    total = Sparse(d)
+    for (i, j, a, b), c in d.items():
+        total.iadd((j, i, b, a), c)
+    return total.is_zero()
 
 
-def _ad_into(alg, out: dict, f: Sparse, t: dict, sign: int) -> None:
+def _ad_into(alg, out: Sparse, f: Sparse, t: Sparse, sign: int) -> None:
     """Add sign * [f(u) (x) 1 + 1 (x) f(v), t] to out, for polynomial 2-tensors t."""
-    for (i, j), p in t.items():
-        for (x, d), cf in f.items():
-            cf = sign * cf
-            for m, cm in bracket_basis(alg, x, i).items():
-                s = cf * cm
-                _add_into(out, (m, j), (((a + d, b), c * s) for (a, b), c in p.items()))
-            for m, cm in bracket_basis(alg, x, j).items():
-                s = cf * cm
-                _add_into(out, (i, m), (((a, b + d), c * s) for (a, b), c in p.items()))
+    for (x, d), cf in f.items():
+        cf = sign * cf
+        # ad[i]: [x, b_i] scaled by sign * cf, formed once per term of f
+        ad = [[(m, cf * cm) for m, cm in bracket_basis(alg, x, i).items()]
+              for i in range(alg.dim)]
+        for (i, j, a, b), c in t.items():
+            for m, s in ad[i]:
+                out.iadd((m, j, a + d, b), s * c)
+            for m, s in ad[j]:
+                out.iadd((i, m, a, b + d), s * c)
 
 
 def check_cocycle(alg, r, f, g, cobracket=None, both_orders=False):
@@ -175,15 +147,15 @@ def check_cocycle(alg, r, f, g, cobracket=None, both_orders=False):
     df, dg = cobracket(f), cobracket(g)
     if df is None or dg is None:
         return (False, False) if both_orders else False
-    rhs = {}
+    rhs = Sparse()
     _ad_into(alg, rhs, f, dg, 1)
     _ad_into(alg, rhs, g, df, -1)
     lhs = cobracket(bracket_poly(alg, f, g))
-    ok = lhs is not None and poly_tensor_eq(lhs, rhs)
+    ok = lhs is not None and lhs == rhs
     if not both_orders:
         return ok
     lhs = cobracket(bracket_poly(alg, g, f))
-    return ok, lhs is not None and poly_tensor_eq(lhs, rhs, -1)
+    return ok, lhs is not None and lhs == -rhs
 
 
 def check_cojacobi(alg, r, f, cobracket=None) -> bool:
@@ -196,23 +168,21 @@ def check_cojacobi(alg, r, f, cobracket=None) -> bool:
     df = cobracket(f)
     if df is None:
         return False
-    # (delta (x) id): expand the first leg monomial-wise and apply delta
-    t = {}
-    for (i, j), p in df.items():
-        for (a, b), c in p.items():
-            inner = cobracket(Sparse({(i, a): Fraction(1)}))
-            if inner is None:
-                return False
-            for (m, l), q in inner.items():
-                # inner lives in variables (u, v); third leg keeps (j, w^b)
-                _add_into(t, (m, l, j), (((a2, b2, b), c * cc) for (a2, b2), cc in q.items()))
+    # (delta (x) id): expand the first leg monomial-wise and apply delta;
+    # inner lives in variables (u, v), the third leg keeps (j, w^b)
+    t = Sparse()
+    for (i, j, a, b), c in df.items():
+        inner = cobracket(Sparse({(i, a): Fraction(1)}))
+        if inner is None:
+            return False
+        for (m, l, a2, b2), cc in inner.items():
+            t.iadd((m, l, j, a2, b2, b), c * cc)
     # add the two cyclic rotations a(u) (x) b(v) (x) c(w) -> c(u) (x) a(v) (x) b(w)
-    total = {}
-    for (i, j, k), p in t.items():
-        _add_into(total, (i, j, k), p.items())
-        _add_into(total, (k, i, j), (((c3, a3, b3), c) for (a3, b3, c3), c in p.items()))
-        _add_into(total, (j, k, i), (((b3, c3, a3), c) for (a3, b3, c3), c in p.items()))
-    return all(p.is_zero() for p in total.values())
+    total = Sparse(t)
+    for (i, j, k, a, b, c3), c in t.items():
+        total.iadd((k, i, j, c3, a, b), c)
+        total.iadd((j, k, i, b, c3, a), c)
+    return total.is_zero()
 
 
 def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):

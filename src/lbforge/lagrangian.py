@@ -250,19 +250,16 @@ def window_basis(alg, w: WPresentation, max_t_degree: int):
     return list(w.head) + tail_monomials(alg, w, max_t_degree)
 
 
-def _coord_key(coord):
-    tag = {"l": 0, "f": 1, "e": 2}[coord[0]]
-    return (tag,) + coord[1:]
-
-
 def _de_coords(x: DoubleElement) -> Sparse:
+    """Keys (0, i, t-degree), (1, i), (2, i) for the loop, finite and
+    dual-number parts: the natural key order puts the loop first."""
     out = Sparse()
     for (i, d), c in x.loop.items():
-        out.iadd(("l", i, -d), c)
+        out.iadd((0, i, -d), c)
     for i, c in x.fin.items():
-        out.iadd(("f", i), c)
+        out.iadd((1, i), c)
     for i, c in x.eps.items():
-        out.iadd(("e", i), c)
+        out.iadd((2, i), c)
     return out
 
 
@@ -326,7 +323,7 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
 
     # closure: brackets with a head generator stay in the wider window's span
     wide = window_basis(alg, w, 2 * window)
-    span = RowSpan(key_order=_coord_key)
+    span = RowSpan()
     for el in wide:
         span.add(_de_coords(el))
     closed = all(
@@ -336,7 +333,7 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
     )
 
     # transversality: W-window plus canonical window spans the slice
-    slice_span = RowSpan(key_order=_coord_key)
+    slice_span = RowSpan()
     count = 0
     for el in basis:
         if slice_span.add(_de_coords(el)):

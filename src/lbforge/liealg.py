@@ -46,9 +46,6 @@ class LieAlgebraData:
             raise InvalidParameterError(f"no Cartan element H({i})")
         return 2 * len(self.positive_roots) + (i - 1)
 
-    def label(self, idx):
-        return self.basis[idx]
-
 
 def _matrix_units(n):
     """sl_n basis as {index: {(row, col): coeff}} sparse matrices."""
@@ -257,16 +254,37 @@ def ad_action2(alg: LieAlgebraData, x: Sparse, t: Sparse) -> Sparse:
     return out
 
 
+# legs (= variables) of r12, r13, r23, owning (v-u), (w-u), (w-v); the same
+# index pairs are the CYBE terms [r12, r13], [r12, r23], [r13, r23]
+LEGS = ((0, 1), (0, 2), (1, 2))
+
+
+def bracket3(alg, ta: dict, tb: dict, legs_a, legs_b):
+    """[ta on legs_a, tb on legs_b] in g (x) g (x) g; met: a structure constant was nonzero."""
+    c = (set(legs_a) & set(legs_b)).pop()
+    ia, ib = legs_a.index(c), legs_b.index(c)
+    oa, ob = legs_a[1 - ia], legs_b[1 - ib]
+    by_a, by_b = {}, {}
+    for t, i, by in ((ta, ia, by_a), (tb, ib, by_b)):
+        for key, coeff in t.items():
+            by.setdefault(key[i], []).append((key[1 - i], coeff))
+    out, met, key = {}, False, [0, 0, 0]
+    for x, rows_a in by_a.items():
+        for y, rows_b in by_b.items():
+            for m, s in bracket_basis(alg, x, y).items():
+                met, key[c] = True, m
+                s = s.numerator if s.denominator == 1 else s  # always, for sl_n
+                for key[oa], ca in rows_a:  # fills key[oa], then key[ob], in place
+                    for key[ob], cb in rows_b:
+                        k = tuple(key)
+                        out[k] = out.get(k, 0) + s * ca * cb
+    return {k: v for k, v in out.items() if v}, met
+
+
 def cyb(alg: LieAlgebraData, r: Sparse) -> Sparse:
     """CYB(r) = [r12, r13] + [r12, r23] + [r13, r23] in g (x) g (x) g."""
     out = Sparse()
-    for (i, j), c in r.items():
-        for (k, l), d in r.items():
-            cd = c * d
-            for m, cm in bracket_basis(alg, i, k).items():
-                out.iadd((m, j, l), cd * cm)
-            for m, cm in bracket_basis(alg, j, k).items():
-                out.iadd((i, m, l), cd * cm)
-            for m, cm in bracket_basis(alg, j, l).items():
-                out.iadd((i, k, m), cd * cm)
+    for a, b in LEGS:
+        for key, c in bracket3(alg, r, r, LEGS[a], LEGS[b])[0].items():
+            out.iadd(key, c)
     return out

@@ -85,27 +85,25 @@ def poly2(entries) -> Sparse:
 
 
 def poly2_divide_vu(p: Sparse):
-    """Divide p(u, v) by (v - u): returns (quotient, remainder).
+    """Divide p by (v - u) in the last two key entries (deg_u, deg_v): returns
+    (quotient, remainder).  Leading key entries, such as the leg indices of
+    a polynomial tensor, ride along, so one call divides a whole tensor.
 
     Synthetic division in v at the root v = u; the remainder is p(u, u),
-    returned as a polynomial in u alone (keys (k, 0)).
+    with deg_v 0 in its keys.
     """
     by_v = {}
-    for (a, b), c in p.items():
-        by_v.setdefault(b, Sparse()).iadd(a, c)
-    if not by_v:
-        return Sparse(), Sparse()
-    top = max(by_v)
+    for key, c in p.items():
+        by_v.setdefault(key[-1], Sparse()).iadd(key[:-1], c)
     quot = Sparse()
     carry = Sparse()
-    for b in range(top, 0, -1):
+    for b in range(max(by_v, default=0), 0, -1):
         carry = carry + by_v.get(b, Sparse())
-        for a, c in carry.items():
-            quot.iadd((a, b - 1), c)
-        carry = Sparse(((a + 1, c) for a, c in carry.items()))
-    rem_u = carry + by_v.get(0, Sparse())
-    rem = Sparse((((a, 0), c) for a, c in rem_u.items()))
-    return quot, rem
+        for k, c in carry.items():
+            quot.iadd((*k, b - 1), c)
+        carry = Sparse((((*k[:-1], k[-1] + 1), c) for k, c in carry.items()))
+    rem = carry + by_v.get(0, Sparse())
+    return quot, Sparse((((*k, 0), c) for k, c in rem.items()))
 
 
 @dataclass(frozen=True)

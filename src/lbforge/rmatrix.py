@@ -25,7 +25,9 @@ the sign.
 
 Spectral CYBE runs on r = sum phi(u, v)/(v-u)^d (x) T, phi spanning each
 denominator class d (rank <= 2 for the families), T coprime integers so the
-constant brackets are int-only; the entry-by-entry sum is the test oracle.
+constant brackets (``liealg.bracket3``, which ``cyb`` also sums) are
+int-only; the entry-by-entry sum is the test oracle.  The series of the
+closed form and of the dual basis are flat Sparse keyed (i, j, deg_u, deg_v).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from math import gcd, lcm
 
 from .errors import InvalidParameterError, KindMismatchError
 from .lagrangian import WPresentation, dual_basis, quotient_ambient
-from .liealg import LieAlgebraData, bracket_basis, casimir, cyb, r_dj, swap2
+from .liealg import LEGS, LieAlgebraData, bracket3, casimir, cyb, r_dj, swap2
 from .pairing import CaseSpec, validate_case
 from .ratfun import BivarRat, bivar, bivar_swap_vars, mul_vu_pow, poly2
 from .sparse import RowSpan, Sparse, poly_mul
@@ -178,44 +180,33 @@ def build_r(alg: LieAlgebraData, spec: CaseSpec, rk: RKind) -> SpectralTensor2:
 
 # -- series comparison --------------------------------------------------------
 
-def expand_region(r: SpectralTensor2, order: int):
-    """Expansion of each entry as a series in u for |u| < |v|.
-
-    Returns {(i, j): Sparse{(deg_u, deg_v): coeff}} keeping all terms of
-    u-degree at most ``order``; v-degrees may be negative.
-    """
-    out = {}
+def expand_region(r: SpectralTensor2, order: int) -> Sparse:
+    """Expansion of r as a series in u for |u| < |v|, keyed
+    (i, j, deg_u, deg_v), keeping all terms of u-degree at most ``order``;
+    v-degrees may be negative."""
+    out = Sparse()
     for key, val in r.items():
-        terms = Sparse()
-        if val.den_pow == 0:
-            for (a, b), c in val.num.items():
-                if a <= order:
-                    terms.iadd((a, b), c)
-        else:
-            k = val.den_pow
-            # 1/(v-u)^k = sum_m C(m+k-1, k-1) u^m v^{-m-k}
-            for (a, b), c in val.num.items():
-                m = 0
-                binom = 1
-                while a + m <= order:
-                    terms.iadd((a + m, b - m - k), c * binom)
-                    binom = binom * (m + k) // (m + 1)
-                    m += 1
-        if terms:
-            out[key] = terms
+        k = val.den_pow
+        # 1/(v-u)^k = sum_m C(m+k-1, k-1) u^m v^{-m-k}; the m = 0 term alone for k = 0
+        for (a, b), c in val.num.items():
+            m, binom = 0, 1
+            while a + m <= order and binom:
+                out.iadd((*key, a + m, b - m - k), c * binom)
+                binom = binom * (m + k) // (m + 1)
+                m += 1
     return out
 
 
-def sum_dual_series(alg, w: WPresentation, order: int, duals=None):
+def sum_dual_series(alg, w: WPresentation, order: int, duals=None) -> Sparse:
     """sum over canonical basis vectors of x u^k (x) dual, dual projected
-    onto the loop and written in the second variable.  ``duals`` is
-    ``dual_basis(alg, w, order)`` when the caller has already solved it."""
-    out = {}
+    onto the loop and written in the second variable, keyed
+    (i, j, deg_u, deg_v).  ``duals`` is ``dual_basis(alg, w, order)`` when
+    the caller has already solved it."""
+    out = Sparse()
     for (i, k, el) in duals if duals is not None else dual_basis(alg, w, order):
         for (j, d), c in el.loop.items():
-            terms = out.setdefault((i, j), Sparse())
-            terms.iadd((k, d), c)
-    return {key: t for key, t in out.items() if t}
+            out.iadd((i, j, k, d), c)
+    return out
 
 
 def skew_residual(r: SpectralTensor2) -> SpectralTensor2:
@@ -237,16 +228,11 @@ def skew_spectral_check(r: SpectralTensor2) -> bool:
 class SpectralCyb:
     """CYB(r)(u, v, w) as numerator tensor over (v-u)^a (w-u)^b (w-v)^c."""
 
-    numerators: Sparse  # (i, j, k, du, dv, dw) flattened: see items()
+    numerators: Sparse  # keyed (i, j, k, du, dv, dw)
     den_pows: tuple
 
     def is_zero(self):
         return self.numerators.is_zero()
-
-
-# legs (= variables) of r12, r13, r23, owning (v-u), (w-u), (w-v); the same
-# index pairs are the CYBE terms [r12, r13], [r12, r23], [r13, r23]
-_LEGS = ((0, 1), (0, 2), (1, 2))
 
 
 def _factors(r: SpectralTensor2):
@@ -264,30 +250,8 @@ def _factors(r: SpectralTensor2):
             yield d, (1 / s) * phi, {k: (c * s).numerator for k, c in t.items()}
 
 
-def _bracket3(alg, ta: dict, tb: dict, legs_a, legs_b):
-    """[ta on legs_a, tb on legs_b] in g (x) g (x) g; met: a structure constant was nonzero."""
-    c = (set(legs_a) & set(legs_b)).pop()
-    ia, ib = legs_a.index(c), legs_b.index(c)
-    oa, ob = legs_a[1 - ia], legs_b[1 - ib]
-    by_a, by_b = {}, {}
-    for t, i, by in ((ta, ia, by_a), (tb, ib, by_b)):
-        for key, coeff in t.items():
-            by.setdefault(key[i], []).append((key[1 - i], coeff))
-    out, met, key = {}, False, [0, 0, 0]
-    for x, rows_a in by_a.items():
-        for y, rows_b in by_b.items():
-            for m, s in bracket_basis(alg, x, y).items():
-                met, key[c] = True, m
-                s = s.numerator if s.denominator == 1 else s  # always, for sl_n
-                for key[oa], ca in rows_a:  # fills key[oa], then key[ob], in place
-                    for key[ob], cb in rows_b:
-                        k = tuple(key)
-                        out[k] = out.get(k, 0) + s * ca * cb
-    return {k: v for k, v in out.items() if v}, met
-
-
 def _on_legs(p: Sparse, a: int, lift: int) -> Sparse:
-    """p(x, y) (y - x)^lift, trivariate on the legs _LEGS[a]; slot 2 - a stays 0."""
+    """p(x, y) (y - x)^lift, trivariate on the legs LEGS[a]; slot 2 - a stays 0."""
     return Sparse({(*e[:2 - a], 0, *e[2 - a:]): c for e, c in mul_vu_pow(p, lift).items()})
 
 
@@ -300,8 +264,8 @@ def cyb_spectral(alg, r: SpectralTensor2) -> SpectralCyb:
     terms, common = [], [0, 0, 0]
     for da, pa, ta in facs:
         for db, pb, tb in facs:
-            for a, b in _LEGS:
-                br, met = _bracket3(alg, ta, tb, _LEGS[a], _LEGS[b])
+            for a, b in LEGS:
+                br, met = bracket3(alg, ta, tb, LEGS[a], LEGS[b])
                 if met:
                     common[a], common[b] = max(common[a], da), max(common[b], db)
                 if br:

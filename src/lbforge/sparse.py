@@ -1,9 +1,11 @@
 """Sparse vectors over exact rationals, and lbforge's one exact Gauss-Jordan
 elimination.
 
-A ``Sparse`` is a dict from arbitrary hashable keys to nonzero ``Fraction``
-values; the zero vector is the empty dict.  Keys are basis indices, exponents,
-exponent tuples, or coordinate tags -- the semantics live in the callers.
+A ``Sparse`` is a dict from hashable keys to nonzero ``Fraction`` values;
+the zero vector is the empty dict.  Keys are basis indices, exponents, or
+flat tuples -- the semantics live in the callers.  A polynomial tensor is
+one flat ``Sparse`` keyed by its leg indices followed by its exponents,
+e.g. (i, j, deg_u, deg_v).
 
 ``RowSpan`` keeps a row space in reduced row echelon form; it serves the
 membership and rank tests of the Lagrangian checks and the sparse dual-basis
@@ -117,12 +119,11 @@ class RowSpan:
     The rows are kept fully reduced (reduced row echelon form): each is 1 at
     its own pivot and 0 at every other row's pivot, so a vector reduces in
     one pass over the pivots it holds.  A new row's pivot is its least key
-    under ``key_order`` (natural order when none is given).
+    in the natural order, so keys must be mutually comparable.
     """
 
-    def __init__(self, key_order=None):
+    def __init__(self):
         self.rows = {}  # pivot key -> row; read only outside this class
-        self._key_order = key_order
 
     def reduce(self, vec: Sparse) -> Sparse:
         """vec minus its combination of stored rows: 0 at every pivot."""
@@ -137,7 +138,7 @@ class RowSpan:
         residual = self.reduce(vec)
         if residual.is_zero():
             return False
-        piv = min(residual, key=self._key_order)
+        piv = min(residual)
         residual = (1 / residual[piv]) * residual
         for row in self.rows.values():
             c = row.get(piv)

@@ -37,9 +37,6 @@ class AffineChange:
         if self.p == 0:
             raise DegenerateSubstitutionError("affine change needs p != 0")
 
-    def apply(self, x: Fraction) -> Fraction:
-        return self.p * x + self.q
-
     def compose(self, other: "AffineChange") -> "AffineChange":
         """self after other: u -> self(other(u))."""
         return AffineChange(self.p * other.p, self.p * other.q + self.q)

@@ -522,6 +522,17 @@ def test_verify_unknown_check(tmp_path):
     assert main(["verify", "--in", str(out), "--checks", "nope"]) == 2
 
 
+@pytest.mark.parametrize("checks", ["", ",", " , "])
+def test_verify_empty_check_list_is_config_error(tmp_path, capsys, checks):
+    # a check list that names no check must not report "pass": true
+    out = build_file(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out), "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 # -- dualbasis ----------------------------------------------------------------
 
 def test_dualbasis_output(tmp_path, capsys):

@@ -300,11 +300,11 @@ def test_duality_matrix_is_identity(text):
 def test_duals_lie_in_window_span(text):
     # every dual element reduces to zero against the W window basis
     from lbforge.sparse import RowSpan
-    from lbforge.lagrangian import _coord_key, _de_coords
+    from lbforge.lagrangian import _de_coords
 
     spec = CaseSpec.parse(text)
     w = catalog_w0(ALG, spec)
-    span = RowSpan(key_order=_coord_key)
+    span = RowSpan()
     for el in window_basis(ALG, w, 8):
         span.add(_de_coords(el))
     for (_, _, el) in dual_basis(ALG, w, 3):

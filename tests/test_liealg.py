@@ -4,6 +4,8 @@ Fraction matrices multiplied entrywise, with no shared code path."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbforge.errors import InvalidParameterError, InvalidRankError
 from lbforge.liealg import (
@@ -224,6 +226,41 @@ def test_cyb_nonsolution_witness():
     # CYB(e (x) f) = -e (x) h (x) f by direct structure-constant expansion
     alg = build_sl(2)
     assert cyb(alg, Sparse({(0, 1): 1})) == Sparse({(0, 2, 1): -1})
+
+
+SL2, SL3 = build_sl(2), build_sl(3)
+
+
+def cyb_loop(alg, r):
+    """CYB(r) by one loop over pairs of entries: the three-term expansion
+    [r12, r13] + [r12, r23] + [r13, r23] written out index by index."""
+    out = Sparse()
+    for (i, j), c in r.items():
+        for (k, l), d in r.items():
+            cd = c * d
+            for m, cm in bracket_basis(alg, i, k).items():
+                out.iadd((m, j, l), cd * cm)
+            for m, cm in bracket_basis(alg, j, k).items():
+                out.iadd((i, m, l), cd * cm)
+            for m, cm in bracket_basis(alg, j, l).items():
+                out.iadd((i, k, m), cd * cm)
+    return out
+
+
+@st.composite
+def constant_tensors(draw):
+    """(alg, t): a constant 2-tensor with non-integer coefficients on sl_2 or sl_3."""
+    alg = draw(st.sampled_from([SL2, SL3]))
+    keys = st.tuples(st.integers(0, alg.dim - 1), st.integers(0, alg.dim - 1))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    return alg, Sparse(draw(st.dictionaries(keys, coeffs, max_size=8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_tensors())
+def test_cyb_matches_loop_oracle(case):
+    alg, t = case
+    assert cyb(alg, t) == cyb_loop(alg, t)
 
 
 def test_r_c1c2_sl2_literal():

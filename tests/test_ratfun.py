@@ -101,6 +101,37 @@ def test_divide_vu_remainder():
     assert quot == poly2({(1, 0): 1})
 
 
+keyed_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3), st.integers(0, 3)),
+    fracs,
+    max_size=12,
+).map(Sparse)
+
+
+@given(keyed_polys)
+def test_divide_vu_keyed_matches_per_entry(p):
+    # one call on a flat 2-tensor equals one call per (i, j) entry, remainders included
+    quot, rem = poly2_divide_vu(p)
+    entries = {}
+    for (i, j, a, b), c in p.items():
+        entries.setdefault((i, j), Sparse()).iadd((a, b), c)
+    want_quot, want_rem = Sparse(), Sparse()
+    for key, entry in entries.items():
+        q, r = poly2_divide_vu(entry)
+        for (a, b), c in q.items():
+            want_quot.iadd((*key, a, b), c)
+        for (a, b), c in r.items():
+            want_rem.iadd((*key, a, b), c)
+    assert quot == want_quot
+    assert rem == want_rem
+    # and p = (v - u) * quotient + remainder, the remainder free of v
+    assert all(k[-1] == 0 for k in rem)
+    for key, entry in entries.items():
+        q = Sparse({k[2:]: c for k, c in quot.items() if k[:2] == key})
+        r = Sparse({k[2:]: c for k, c in rem.items() if k[:2] == key})
+        assert poly_mul(q, poly2({(0, 1): 1, (1, 0): -1})) + r == entry
+
+
 def test_bivar_reduction():
     # (v^2 - u^2)/(v - u) reduces to (u + v)
     f = bivar(poly2({(0, 2): 1, (2, 0): -1}), 1)

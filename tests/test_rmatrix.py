@@ -111,9 +111,8 @@ def test_quasi_trig_constant_block():
     r = build_r(ALG, spec, RKind.mcybe(ALG, r_dj(ALG)))
     series = expand_region(r, 0)
     block = Sparse()
-    for (i, j), terms in series.items():
-        c = terms.get((0, 0), 0)
-        if c:
+    for (i, j, du, dv), c in series.items():
+        if (du, dv) == (0, 0):
             block.iadd((i, j), c)
     assert block == casimir(ALG) - swap2(r_dj(ALG))
 
@@ -287,16 +286,16 @@ def test_cyb_matches_oracle_on_edited_families(text):
 def test_expand_region_yang_kernel():
     series = expand_region(omega_over_vu(), 1)
     # Omega (v^{-1} + u v^{-2})
-    expected = {}
+    expected = Sparse()
     for (i, j), c in casimir(ALG).items():
-        expected[(i, j)] = Sparse({(0, -1): c, (1, -2): c})
+        expected.iadd((i, j, 0, -1), c).iadd((i, j, 1, -2), c)
     assert series == expected
 
 
 def test_expand_region_constant_tensor():
     r = from_constant(r_dj(ALG))
     series = expand_region(r, 5)
-    expected = {key: Sparse({(0, 0): c}) for key, c in r_dj(ALG).items()}
+    expected = Sparse({(i, j, 0, 0): c for (i, j), c in r_dj(ALG).items()})
     assert series == expected
 
 
@@ -304,16 +303,17 @@ def test_expand_region_higher_pole():
     # 1/(v-u)^2 = sum (m+1) u^m v^{-m-2}
     t = SpectralTensor2({(0, 1): bivar(poly2({(0, 0): Fraction(1)}), 2)})
     series = expand_region(t, 2)
-    assert series == {(0, 1): Sparse({(0, -2): 1, (1, -3): 2, (2, -4): 3})}
+    assert series == Sparse({(0, 1, 0, -2): 1, (0, 1, 1, -3): 2, (0, 1, 2, -4): 3})
 
 
 def test_sum_dual_series_geometric():
     # the constant-weight complement sums to the |u| < |v| kernel expansion
     spec = CaseSpec.parse("I:constant")
     series = sum_dual_series(ALG, catalog_w0(ALG, spec), 3)
-    expected = {}
+    expected = Sparse()
     for (i, j), c in casimir(ALG).items():
-        expected[(i, j)] = Sparse({(k, -k - 1): c for k in range(4)})
+        for k in range(4):
+            expected.iadd((i, j, k, -k - 1), c)
     assert series == expected
 
 
