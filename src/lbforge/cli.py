@@ -48,9 +48,11 @@ def parse_checks(text: str) -> list:
     checks = [c.strip() for c in text.split(",") if c.strip()]
     if not checks:
         raise ConfigError(f"no check named in {text!r}; expected some of {','.join(ALL_CHECKS)}")
-    for name in checks:
+    for n, name in enumerate(checks):
         if name not in ALL_CHECKS:
             raise ConfigError(f"unknown check {name!r}")
+        if name in checks[:n]:
+            raise ConfigError(f"check {name!r} is named twice")
     return checks
 
 

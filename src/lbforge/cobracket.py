@@ -122,6 +122,8 @@ def check_skew(alg, r, f, cobracket=None) -> bool:
 
 def _ad_into(alg, out: Sparse, f: Sparse, t: Sparse, sign: int) -> None:
     """Add sign * [f(u) (x) 1 + 1 (x) f(v), t] to out, for polynomial 2-tensors t."""
+    if not t:
+        return
     for (x, d), cf in f.items():
         cf = sign * cf
         # ad[i]: [x, b_i] scaled by sign * cf, formed once per term of f

@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .liealg import LieAlgebraData, basis_element, bracket, bracket_poly, form
-from .pairing import CaseSpec, DoubleElement, canonical_pairings, embed_canonical, q_form
+from .pairing import CaseSpec, DoubleElement, canonical_pairings, embed_canonical, pairing_map
 from .ratfun import poly1
 from .sparse import RowSpan, Sparse
 
@@ -250,19 +250,6 @@ def window_basis(alg, w: WPresentation, max_t_degree: int):
     return list(w.head) + tail_monomials(alg, w, max_t_degree)
 
 
-def _de_coords(x: DoubleElement) -> Sparse:
-    """Keys (0, i, t-degree), (1, i), (2, i) for the loop, finite and
-    dual-number parts: the natural key order puts the loop first."""
-    out = Sparse()
-    for (i, d), c in x.loop.items():
-        out.iadd((0, i, -d), c)
-    for i, c in x.fin.items():
-        out.iadd((1, i), c)
-    for i, c in x.eps.items():
-        out.iadd((2, i), c)
-    return out
-
-
 def de_bracket(alg, spec, x: DoubleElement, y: DoubleElement) -> DoubleElement:
     """Bracket of the double: componentwise loop bracket plus the finite
     (or dual-number) bracket."""
@@ -292,8 +279,11 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
     """Isotropy, bracket closure, and transversality on a degree window.
 
     The window must cover the head generators and one tail step, else the
-    test is inconclusive.  Closure brackets only the pairs that contain a
-    head generator: two tail monomials m(t) t^a x and m(t) t^b y with
+    test is inconclusive.  Each window element's coordinates are formed
+    once.  Isotropy dots coords(basis[a]) with the pairing map of basis[b]
+    over the window's loop degrees, for a, then b >= a; the witness is the
+    first nonzero pair and its value.  Closure brackets only the pairs that
+    contain a head generator: two tail monomials m(t) t^a x and m(t) t^b y with
     deg m + a, deg m + b <= window bracket to m(t) (m(t) t^{a+b}) [x, y],
     a combination of tail monomials m(t) t^j z with deg m + j <= 2 window,
     so it lies in the wide window's span for any m and any head.  A head
@@ -308,26 +298,29 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
             f"window {window} too small for generators of degree {head_deg} "
             f"and tail of degree {w.tail_degree()}"
         )
-    basis = window_basis(alg, w, window)
+    # the window basis is the head plus the wide window's first tail steps
+    wide = window_basis(alg, w, 2 * window)
+    basis = wide[: len(w.head) + alg.dim * (window - w.tail_degree() + 1)]
+    coords = [el.coords() for el in wide]
+    degrees = [d for el in basis for (_, d) in el.loop] or [0]
+    maps = [pairing_map(alg, w.spec, el, min(degrees), max(degrees)) for el in basis]
     witness = None
-    isotropic = True
-    for a in range(len(basis)):
+    for a, ca in enumerate(coords[: len(basis)]):
         for b in range(a, len(basis)):
-            val = q_form(alg, w.spec, basis[a], basis[b])
+            mb = maps[b]
+            val = sum(c * mb[e] for e, c in ca.items() if e in mb)
             if val != 0:
-                isotropic = False
                 witness = ((a, b), val)
                 break
-        if not isotropic:
+        if witness:
             break
 
     # closure: brackets with a head generator stay in the wider window's span
-    wide = window_basis(alg, w, 2 * window)
     span = RowSpan()
-    for el in wide:
-        span.add(_de_coords(el))
+    for row in coords:
+        span.add(row)
     closed = all(
-        span.contains(_de_coords(de_bracket(alg, w.spec, basis[a], basis[b])))
+        span.contains(de_bracket(alg, w.spec, basis[a], basis[b]).coords())
         for a in range(len(w.head))
         for b in range(a + 1, len(basis))
     )
@@ -335,13 +328,13 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
     # transversality: W-window plus canonical window spans the slice
     slice_span = RowSpan()
     count = 0
-    for el in basis:
-        if slice_span.add(_de_coords(el)):
+    for row in coords[: len(basis)]:
+        if slice_span.add(row):
             count += 1
     for k in range(window + 1):
         for i in range(alg.dim):
             el = embed_canonical(w.spec, basis_element(i), k)
-            if slice_span.add(_de_coords(el)):
+            if slice_span.add(el.coords()):
                 count += 1
     slice_dim = alg.dim * (2 * window + 1)
     if w.spec.double_type == "II":
@@ -349,7 +342,7 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
     elif w.spec.double_type == "III":
         slice_dim += 2 * alg.dim
     transversal = slice_span.dim == slice_dim and count == slice_dim
-    return LagrangianReport(isotropic, closed, transversal, witness)
+    return LagrangianReport(witness is None, closed, transversal, witness)
 
 
 def dual_basis(alg, w: WPresentation, truncation: int):

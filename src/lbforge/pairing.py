@@ -30,9 +30,13 @@ The canonical copy of g[u] sits inside the double with finite components
 read off from the value and first derivative at u = 0 (types II and III);
 this is the unique embedding that makes g[u] isotropic.
 
-``canonical_pairings`` reads the pairing as a sparse linear map: all the
-Q(x_i u^k, y) of one y with the canonical basis up to a degree, from y's
-loop terms and the nonzero trace-form entries of their rows.
+``pairing_map`` reads the pairing as a sparse linear map: Q(e, y) of one y
+with every coordinate e of the double (``DoubleElement.coords``), from y's
+loop terms and the nonzero trace-form entries of their rows, so that
+Q(x, y) is the dot product of coords(x) with the map of y.  It is the one
+pairing loop: ``q_form`` and the isotropy check dot coordinates with it,
+and ``canonical_pairings`` folds it onto the canonical basis for the
+dual-basis system and the duality check.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidParameterError, ShapeMismatchError
-from .liealg import LieAlgebraData, form
+from .liealg import LieAlgebraData
 from .ratfun import RatFun1, expand_at_zero, poly1
 from .sparse import Sparse
 
@@ -194,6 +198,15 @@ class DoubleElement:
     def is_zero(self):
         return self.loop.is_zero() and self.fin.is_zero() and self.eps.is_zero()
 
+    def coords(self) -> Sparse:
+        """Keys (0, i, t-degree), (1, i), (2, i) for the loop, finite and
+        dual-number parts: the natural key order puts the loop first."""
+        out = Sparse()
+        out.update(((0, i, -d), c) for (i, d), c in self.loop.items())
+        out.update(((1, i), c) for i, c in self.fin.items())
+        out.update(((2, i), c) for i, c in self.eps.items())
+        return out
+
 
 def loop_element(x: Sparse, degree: int = 0) -> DoubleElement:
     """x * u^degree as a pure loop element."""
@@ -221,50 +234,52 @@ def embed_canonical(spec: CaseSpec, x: Sparse, k: int) -> DoubleElement:
 
 
 def q_form(alg: LieAlgebraData, spec: CaseSpec, x: DoubleElement, y: DoubleElement):
-    """The invariant pairing of the double on two elements."""
+    """The invariant pairing of the double on two elements: x's coordinates
+    dotted with the pairing map of y over x's loop degrees."""
     check_shape(spec, x)
-    check_shape(spec, y)
-    total = Fraction(0)
-    if x.loop and y.loop:
-        s = DOUBLE_TYPES.index(spec.double_type)
-        top = s - 1 - min(k for _, k in x.loop) - min(l for _, l in y.loop)
-        taylor = spec.taylor(top) if top >= 0 else ()
-        gram = alg.gram
-        for (i, k), c1 in x.loop.items():
-            row = gram[i]
-            for (j, l), c2 in y.loop.items():
-                m = s - 1 - k - l
-                if m >= 0 and row[j]:
-                    total += c1 * c2 * row[j] * taylor[m]
-    if spec.double_type == "II":
-        total -= form(alg, x.fin, y.fin)
-    elif spec.double_type == "III":
-        total -= form(alg, x.eps, y.fin) + form(alg, x.fin, y.eps)
-    return total
+    degrees = [k for _, k in x.loop] or [0]
+    pmap = pairing_map(alg, spec, y, min(degrees), max(degrees))
+    return sum((c * pmap[e] for e, c in x.coords().items() if e in pmap), Fraction(0))
 
 
-def canonical_pairings(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmax: int) -> Sparse:
-    """(i, k) -> Q(x_i u^k, y) over the canonical basis with k <= kmax;
-    equals q_form(alg, spec, embed_canonical(spec, x_i, k), y)."""
+def pairing_map(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmin: int, kmax: int) -> Sparse:
+    """Q(e, y) for every coordinate e of the double, keyed as in
+    ``DoubleElement.coords``: (0, i, -k) for x_i u^k with kmin <= k <= kmax,
+    (1, i) for the finite and (2, i) for the dual-number summand.  For any
+    x with loop degrees in that range, q_form(alg, spec, x, y) is the sum
+    of coords(x)[e] * map[e]."""
     check_shape(spec, y)
     s = DOUBLE_TYPES.index(spec.double_type)
     gram = alg.gram
     if y.loop:
-        top = s - 1 - min(l for _, l in y.loop)
+        top = s - 1 - kmin - min(l for _, l in y.loop)
         taylor = spec.taylor(top) if top >= 0 else ()
     out = Sparse()
     for (j, l), c in y.loop.items():
-        ks = range(min(kmax, s - 1 - l) + 1)
+        ks = range(kmin, min(kmax, s - 1 - l) + 1)
         for i, g in enumerate(gram[j]):
             if g:
                 cg = c * g
                 for k in ks:
-                    out.iadd((i, k), cg * taylor[s - 1 - k - l])
-    # x_i u^0 carries fin = x_i (types II, III) and x_i u^1 carries eps = x_i (III)
-    finite = ((0, y.eps), (1, y.fin)) if spec.double_type == "III" else ((0, y.fin),)
-    for k, part in finite[: kmax + 1]:
+                    out.iadd((0, i, -k), cg * taylor[s - 1 - k - l])
+    # the finite summand pairs with eps in type III, with fin in type II
+    finite = ((1, y.eps), (2, y.fin)) if spec.double_type == "III" else ((1, y.fin),)
+    for tag, part in finite:
         for j, c in part.items():
             for i, g in enumerate(gram[j]):
                 if g:
-                    out.iadd((i, k), -c * g)
+                    out.iadd((tag, i), -c * g)
+    return out
+
+
+def canonical_pairings(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmax: int) -> Sparse:
+    """(i, k) -> Q(x_i u^k, y) over the canonical basis with k <= kmax;
+    equals q_form(alg, spec, embed_canonical(spec, x_i, k), y).  The
+    canonical x_i u^k is the loop coordinate plus fin = x_i at k = 0 and
+    eps = x_i at k = 1 (types II, III), so the pairing map folds onto it."""
+    out = Sparse()
+    for key, val in pairing_map(alg, spec, y, 0, kmax).items():
+        k = -key[2] if key[0] == 0 else key[0] - 1
+        if k <= kmax:
+            out.iadd((key[1], k), val)
     return out

@@ -533,6 +533,18 @@ def test_verify_empty_check_list_is_config_error(tmp_path, capsys, checks):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("checks", ["cybe,cybe", "skew,cybe, skew"])
+def test_verify_repeated_check_is_config_error(tmp_path, capsys, checks):
+    # a repeated check must not run twice and report two entries
+    out = build_file(tmp_path, case="I:constant", r="zero")
+    capsys.readouterr()
+    assert main(["verify", "--in", str(out), "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "named twice" in captured.err
+
+
 # -- dualbasis ----------------------------------------------------------------
 
 def test_dualbasis_output(tmp_path, capsys):

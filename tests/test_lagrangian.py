@@ -212,6 +212,58 @@ def test_corrupted_generator_fails_isotropy():
     assert value != 0
 
 
+def _flip_c1(alg):
+    # the corruption above: (t - c1) -> (t + c1) in the lift of (0, e_0)
+    spec = tp()
+    w = catalog_w0(alg, spec)
+    head = []
+    for gen in w.head:
+        loop = Sparse(gen.loop)
+        if loop.get((0, -1)):
+            loop[(0, 0)] = -loop[(0, 0)]
+        head.append(DoubleElement(loop))
+    return WPresentation(spec, head, w.tail)
+
+
+def _positive_power(alg):
+    # the last head generator gains a term e_0 u
+    spec = tp()
+    w = catalog_w0(alg, spec)
+    head = list(w.head)
+    head[-1] = DoubleElement(head[-1].loop + Sparse({(0, 1): 1}))
+    return WPresentation(spec, head, w.tail)
+
+
+def _perturbed_fin(alg):
+    # eps*g with the finite summand e_0 added to the first generator eps e_0
+    spec = CaseSpec.parse("III:constant")
+    w = catalog_w0(alg, spec)
+    head = list(w.head)
+    head[0] = DoubleElement(Sparse(), fin=basis_element(0), eps=head[0].eps)
+    return WPresentation(spec, head, w.tail)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("corrupt", [_flip_c1, _positive_power, _perturbed_fin])
+def test_isotropy_witness_is_first_nonzero_q_form(corrupt, n):
+    # the witness is the first pair (a, b), a <= b, in window-basis order
+    # whose brute-force q_form is nonzero, with the same exact value
+    alg = build_sl(n)
+    w = corrupt(alg)
+    basis = window_basis(alg, w, 6)
+    want = next(
+        ((a, b), val)
+        for a in range(len(basis))
+        for b in range(a, len(basis))
+        for val in [q_form(alg, w.spec, basis[a], basis[b])]
+        if val != 0
+    )
+    report = is_lagrangian(alg, w, 6)
+    assert not report.isotropic
+    assert report.witness == want
+    assert type(report.witness[1]) is Fraction
+
+
 def test_full_negative_half_fails_isotropy():
     # g[u^{-1}] itself is not isotropic for the constant weight
     spec = CaseSpec.parse("I:constant")
@@ -300,15 +352,14 @@ def test_duality_matrix_is_identity(text):
 def test_duals_lie_in_window_span(text):
     # every dual element reduces to zero against the W window basis
     from lbforge.sparse import RowSpan
-    from lbforge.lagrangian import _de_coords
 
     spec = CaseSpec.parse(text)
     w = catalog_w0(ALG, spec)
     span = RowSpan()
     for el in window_basis(ALG, w, 8):
-        span.add(_de_coords(el))
+        span.add(el.coords())
     for (_, _, el) in dual_basis(ALG, w, 3):
-        assert span.contains(_de_coords(el))
+        assert span.contains(el.coords())
 
 
 def _dense_dual_basis(alg, w, truncation):

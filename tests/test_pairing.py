@@ -14,6 +14,7 @@ from lbforge.pairing import (
     canonical_pairings,
     embed_canonical,
     loop_element,
+    pairing_map,
     q_form,
     validate_case,
 )
@@ -259,6 +260,26 @@ def test_canonical_pairings_match_q_form(text, data):
     spec = CaseSpec.parse(text)
     y = _random_element(data.draw, spec, list(range(-6, 4)))
     assert_pairing_map(ALG, spec, y, data.draw(st.integers(0, 7)))
+
+
+@pytest.mark.parametrize("text", ALL_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pairing_map_matches_q_form(text, data):
+    # coords(x) . pairing_map(y) is Q(x, y) whenever the map's degree range
+    # covers x's loop degrees; the map has no loop key outside that range
+    spec = CaseSpec.parse(text)
+    degrees = list(range(-6, 4))
+    x = _random_element(data.draw, spec, degrees)
+    y = _random_element(data.draw, spec, degrees)
+    xdeg = [d for _, d in x.loop] or [0]
+    kmin = min(xdeg) - data.draw(st.integers(0, 2))
+    kmax = max(xdeg) + data.draw(st.integers(0, 2))
+    pmap = pairing_map(ALG, spec, y, kmin, kmax)
+    assert all(kmin <= -key[2] <= kmax for key in pmap if key[0] == 0)
+    assert {key[0] for key in pmap} <= set(range(1 + ("I", "II", "III").index(spec.double_type)))
+    dot = sum(c * pmap.get(e, 0) for e, c in x.coords().items())
+    assert dot == q_form(ALG, spec, x, y) == _reference_q_form(spec, x, y)
 
 
 def test_canonical_pairings_check_shape():
