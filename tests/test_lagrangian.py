@@ -193,36 +193,25 @@ def test_catalog_passes_window_checks(text):
     assert report.isotropic and report.closed and report.transversal
 
 
-def test_corrupted_generator_fails_isotropy():
-    spec = tp()
-    w = catalog_w0(ALG, spec)
-    # flip the sign of c1 in the (0, e) lift: (t - c1) -> (t + c1)
-    bad = []
-    for gen in w.head:
-        if gen.loop.get((0, -1)):
-            flipped = Sparse(gen.loop)
-            flipped[(0, 0)] = -flipped.get((0, 0), Fraction(0))
-            bad.append(DoubleElement(flipped))
-        else:
-            bad.append(gen)
-    report = is_lagrangian(ALG, WPresentation(spec, bad, w.tail), 6)
-    assert not report.isotropic
-    assert report.witness is not None
-    (pair, value) = report.witness
-    assert value != 0
-
-
 def _flip_c1(alg):
-    # the corruption above: (t - c1) -> (t + c1) in the lift of (0, e_0)
+    # flip the sign of c1 in the (0, e_0) lift: (t - c1) -> (t + c1)
     spec = tp()
     w = catalog_w0(alg, spec)
     head = []
     for gen in w.head:
         loop = Sparse(gen.loop)
         if loop.get((0, -1)):
-            loop[(0, 0)] = -loop[(0, 0)]
+            loop[(0, 0)] = -loop.get((0, 0), Fraction(0))
         head.append(DoubleElement(loop))
     return WPresentation(spec, head, w.tail)
+
+
+def test_corrupted_generator_fails_isotropy():
+    report = is_lagrangian(ALG, _flip_c1(ALG), 6)
+    assert not report.isotropic
+    assert report.witness is not None
+    (pair, value) = report.witness
+    assert value != 0
 
 
 def _positive_power(alg):
