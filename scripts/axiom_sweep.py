@@ -2,8 +2,10 @@
 """Full cobracket axiom sweep over the seven case families.
 
 Writes a JSON list of {"family", "element", "check", "pass"} records and
-prints a per-family summary.  Degree caps are flag-controlled; defaults
-match the acceptance suite (4 on sl_2, 2 on sl_3).
+prints a per-family summary with its time in milliseconds.  Degree caps
+are flag-controlled; defaults match the acceptance suite (4 on sl_2, 2 on
+sl_3).  Exits 0 when every record passes, 1 when one fails, and 2 with an
+``error:`` line on an invalid rank or degree.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import sys
 import time
 
 from lbforge.cobracket import axiom_sweep
+from lbforge.errors import LbforgeError
 from lbforge.liealg import build_sl
 from lbforge.pairing import CaseSpec
 from lbforge.rmatrix import build_r, catalog_rkind
@@ -34,23 +37,32 @@ def main(argv=None):
     parser.add_argument("--cocycle-degree", type=int, default=2)
     parser.add_argument("--out", default="axiom_sweep.json")
     args = parser.parse_args(argv)
+    try:
+        records = sweep_all(args)
+    except LbforgeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(records, fh, indent=2)
+    print(f"wrote {len(records)} records to {args.out}")
+    return 0 if all(rec["pass"] for rec in records) else 1
 
+
+def sweep_all(args):
     alg = build_sl(args.algebra)
     cap = args.degree if args.degree is not None else (4 if args.algebra == 2 else 2)
     records = []
     for text in FAMILIES:
         spec = CaseSpec.parse(text)
         r = build_r(alg, spec, catalog_rkind(alg, spec))
-        start = time.time()
+        start = time.perf_counter()
         recs = axiom_sweep(alg, text, r, cap, cocycle_degree=args.cocycle_degree)
+        ms = (time.perf_counter() - start) * 1000
         records.extend(recs)
         failed = sum(1 for rec in recs if not rec["pass"])
         status = "ok" if failed == 0 else f"{failed} FAILED"
-        print(f"{text:22s} {len(recs):5d} checks  {status}  ({time.time()-start:.1f}s)")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2)
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0 if all(rec["pass"] for rec in records) else 1
+        print(f"{text:22s} {len(recs):5d} checks  {status}  ({ms:.0f} ms)")
+    return records
 
 
 if __name__ == "__main__":

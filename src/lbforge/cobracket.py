@@ -1,23 +1,36 @@
 """The cobracket delta(f) = [f(u) (x) 1 + 1 (x) f(v), r(u, v)] and the
 Lie-bialgebra axioms checked on truncated generator sets.
 
-Elements of g[u] are Sparse maps (basis index, degree >= 0) -> Fraction.
-delta lands in g (x) g [u, v], a flat Sparse keyed (i, j, deg_u, deg_v):
+Elements of g[u] are dicts (basis index, degree >= 0) -> coefficient.
+delta lands in g (x) g [u, v], a flat tensor keyed (i, j, deg_u, deg_v):
 the commutator with the Casimir kernel picks up a factor divisible by
 (v - u), and the division is performed exactly (failure raises
 NotPolynomialError).  Co-Jacobi is tested in g (x) g (x) g [u, v, w], keyed
 (i, j, k, a, b, c); the cyclic rotation moves legs and exponents together.
+
+The ad-action, the division and the checks accumulate in plain dicts, so one
+code path serves the direct ``delta`` on ``lift(r)`` (Fractions) and a sweep,
+whose ``BasisCobrackets`` scales the lift by the lcm L of its denominators:
+sl_n structure constants are integers and (v - u) is monic, so every sweep
+value is an int.  delta is linear in r and the checks are homogeneous in it
+(degree 1: polynomiality, skew, cocycle; degree 2: co-Jacobi), so L changes
+no verdict.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidParameterError, NotPolynomialError
 from .liealg import LieAlgebraData, bracket_basis, bracket_poly
 from .ratfun import mul_vu_pow, poly2_divide_vu
 from .rmatrix import SpectralTensor2
 from .sparse import Sparse
+
+
+def _exact(c):
+    """c as an int when it is integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def g_poly(x: Sparse, degree: int = 0) -> Sparse:
@@ -32,18 +45,20 @@ def lift(r: SpectralTensor2):
                        for mono, c in mul_vu_pow(val.num, top - val.den_pow).items())
 
 
-def delta(alg: LieAlgebraData, r: SpectralTensor2, f: Sparse, lifted=None) -> Sparse:
+def delta(alg: LieAlgebraData, r: SpectralTensor2, f, lifted=None):
     """The cobracket value on f, a flat 2-tensor keyed (i, j, deg_u, deg_v).
 
-    r is put over one (v - u)^top (``lifted`` is ``lift(r)``, if given),
-    the ad-action of f is applied to the numerators, and the result is
-    certified polynomial by exact division by (v - u), top times.
+    r is put over one (v - u)^top (``lifted`` is ``lift(r)``, or a multiple
+    of it, if given), the ad-action of f is applied to the numerators, and
+    the result, of the numerators' type, is certified polynomial by exact
+    division by (v - u), top times.
     """
     if any(d < 0 for (_, d) in f):
         raise InvalidParameterError("f must be polynomial in u")
     top, nums = lift(r) if lifted is None else lifted
-    out = Sparse()
+    out = {}
     _ad_into(alg, out, f, nums, 1)
+    out = type(nums)((k, c) for k, c in out.items() if c)
     for _ in range(top):
         out, rem = poly2_divide_vu(out)
         if rem:
@@ -52,43 +67,49 @@ def delta(alg: LieAlgebraData, r: SpectralTensor2, f: Sparse, lifted=None) -> Sp
 
 
 class BasisCobrackets:
-    """delta for one r (lifted once), computed once per basis monomial x_i u^k.
+    """L * delta for one r (lifted once), once per basis monomial x_i u^k.
 
-    ``basis((i, k))`` is delta(alg, r, x_i u^k); calling the instance on
-    any f in g[u] gives delta(f) as the sum of c * delta(x_i u^k) over the
-    terms of f.  A basis cobracket that is not polynomial is stored as
-    None, once, and every delta that needs it is None too.  The returned
-    tensors may be the stored ones: callers must not mutate them.
+    ``scale`` is L, the lcm of the denominators of r's lifted numerators, so
+    ``basis((i, k))``, L * delta(alg, r, x_i u^k), is a dict of ints; the
+    instance maps f in g[u] to L * delta(f) = sum of c * basis(key) over f.
+    This is the cobracket of L * r, and the axioms are homogeneous in r
+    (degree 1: polynomiality, skew, cocycle; degree 2: co-Jacobi), so every
+    check that takes its cobrackets from here gives r's verdict.  A basis
+    cobracket that is not polynomial is stored as None, once, and every
+    delta that needs it is None too.  The returned tensors may be the
+    stored ones: callers must not mutate them.
     """
 
     def __init__(self, alg: LieAlgebraData, r: SpectralTensor2):
         self.alg = alg
         self.r = r
-        self._lifted = lift(r)
+        top, nums = lift(r)
+        self.scale = lcm(*(c.denominator for c in nums.values()))
+        self._lifted = top, {k: (c * self.scale).numerator for k, c in nums.items()}
         self._memo = {}
 
     def basis(self, key):
         if key not in self._memo:
             try:
-                f = Sparse({key: Fraction(1)})
-                self._memo[key] = delta(self.alg, self.r, f, lifted=self._lifted)
+                self._memo[key] = delta(self.alg, self.r, {key: 1}, lifted=self._lifted)
             except NotPolynomialError:
                 self._memo[key] = None
         return self._memo[key]
 
-    def __call__(self, f: Sparse):
+    def __call__(self, f):
         if len(f) == 1:
             (key, c), = f.items()
             if c == 1:
                 return self.basis(key)
-        out = Sparse()
+        out = {}
         for key, c in f.items():
             d = self.basis(key)
             if d is None:
                 return None
+            c = _exact(c)
             for k, cd in d.items():
-                out.iadd(k, c * cd)
-        return out
+                out[k] = out.get(k, 0) + c * cd
+        return {k: c for k, c in out.items() if c}
 
 
 def _direct(alg, r):
@@ -114,26 +135,29 @@ def check_skew(alg, r, f, cobracket=None) -> bool:
     d = cobracket(f)
     if d is None:
         return False
-    total = Sparse(d)
+    total = dict(d)
     for (i, j, a, b), c in d.items():
-        total.iadd((j, i, b, a), c)
-    return total.is_zero()
+        k = (j, i, b, a)
+        total[k] = total.get(k, 0) + c
+    return not any(total.values())
 
 
-def _ad_into(alg, out: Sparse, f: Sparse, t: Sparse, sign: int) -> None:
-    """Add sign * [f(u) (x) 1 + 1 (x) f(v), t] to out, for polynomial 2-tensors t."""
+def _ad_into(alg, out: dict, f, t, sign: int) -> None:
+    """Add sign * [f(u) (x) 1 + 1 (x) f(v), t] to the dict out (zeros stay)."""
     if not t:
         return
     for (x, d), cf in f.items():
         cf = sign * cf
         # ad[i]: [x, b_i] scaled by sign * cf, formed once per term of f
-        ad = [[(m, cf * cm) for m, cm in bracket_basis(alg, x, i).items()]
+        ad = [[(m, cf * _exact(cm)) for m, cm in bracket_basis(alg, x, i).items()]
               for i in range(alg.dim)]
         for (i, j, a, b), c in t.items():
             for m, s in ad[i]:
-                out.iadd((m, j, a + d, b), s * c)
+                k = (m, j, a + d, b)
+                out[k] = out.get(k, 0) + s * c
             for m, s in ad[j]:
-                out.iadd((i, m, a, b + d), s * c)
+                k = (i, m, a, b + d)
+                out[k] = out.get(k, 0) + s * c
 
 
 def check_cocycle(alg, r, f, g, cobracket=None, both_orders=False):
@@ -149,15 +173,16 @@ def check_cocycle(alg, r, f, g, cobracket=None, both_orders=False):
     df, dg = cobracket(f), cobracket(g)
     if df is None or dg is None:
         return (False, False) if both_orders else False
-    rhs = Sparse()
+    rhs = {}
     _ad_into(alg, rhs, f, dg, 1)
     _ad_into(alg, rhs, g, df, -1)
+    rhs = {k: c for k, c in rhs.items() if c}
     lhs = cobracket(bracket_poly(alg, f, g))
     ok = lhs is not None and lhs == rhs
     if not both_orders:
         return ok
     lhs = cobracket(bracket_poly(alg, g, f))
-    return ok, lhs is not None and lhs == -rhs
+    return ok, lhs is not None and lhs == {k: -c for k, c in rhs.items()}
 
 
 def check_cojacobi(alg, r, f, cobracket=None) -> bool:
@@ -172,19 +197,20 @@ def check_cojacobi(alg, r, f, cobracket=None) -> bool:
         return False
     # (delta (x) id): expand the first leg monomial-wise and apply delta;
     # inner lives in variables (u, v), the third leg keeps (j, w^b)
-    t = Sparse()
+    t = {}
     for (i, j, a, b), c in df.items():
-        inner = cobracket(Sparse({(i, a): Fraction(1)}))
+        inner = cobracket({(i, a): 1})
         if inner is None:
             return False
         for (m, l, a2, b2), cc in inner.items():
-            t.iadd((m, l, j, a2, b2, b), c * cc)
+            key = (m, l, j, a2, b2, b)
+            t[key] = t.get(key, 0) + c * cc
     # add the two cyclic rotations a(u) (x) b(v) (x) c(w) -> c(u) (x) a(v) (x) b(w)
-    total = Sparse(t)
+    total = dict(t)
     for (i, j, k, a, b, c3), c in t.items():
-        total.iadd((k, i, j, c3, a, b), c)
-        total.iadd((j, k, i, b, c3, a), c)
-    return total.is_zero()
+        for key in ((k, i, j, c3, a, b), (j, k, i, b, c3, a)):
+            total[key] = total.get(key, 0) + c
+    return not any(total.values())
 
 
 def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
@@ -206,41 +232,26 @@ def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
     """
     if cocycle_degree is None:
         cocycle_degree = max_degree
+    if max_degree < 0 or cocycle_degree < 0:
+        raise InvalidParameterError(f"sweep degrees must be >= 0: {max_degree}, {cocycle_degree}")
     cobracket = BasisCobrackets(alg, r)
     records = []
+
+    def record(element, check, ok):
+        records.append({"family": spec_text, "element": element, "check": check, "pass": ok})
+
     gens = [
-        (f"{alg.basis[i]}*u^{k}", Sparse({(i, k): Fraction(1)}))
+        (f"{alg.basis[i]}*u^{k}", {(i, k): 1})
         for k in range(max_degree + 1)
         for i in range(alg.dim)
     ]
     for name, f in gens:
-        records.append(
-            {
-                "family": spec_text,
-                "element": name,
-                "check": "polynomial",
-                "pass": cobracket(f) is not None,
-            }
-        )
+        record(name, "polynomial", cobracket(f) is not None)
     for name, f in gens:
         if cobracket(f) is None:
             continue
-        records.append(
-            {
-                "family": spec_text,
-                "element": name,
-                "check": "skew",
-                "pass": check_skew(alg, r, f, cobracket=cobracket),
-            }
-        )
-        records.append(
-            {
-                "family": spec_text,
-                "element": name,
-                "check": "co-jacobi",
-                "pass": check_cojacobi(alg, r, f, cobracket=cobracket),
-            }
-        )
+        record(name, "skew", check_skew(alg, r, f, cobracket=cobracket))
+        record(name, "co-jacobi", check_cojacobi(alg, r, f, cobracket=cobracket))
     pair_gens = [
         (name, f)
         for (name, f) in gens
@@ -256,12 +267,5 @@ def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
             )
     for a, (name_f, _) in enumerate(pair_gens):
         for b, (name_g, _) in enumerate(pair_gens):
-            records.append(
-                {
-                    "family": spec_text,
-                    "element": f"{name_f},{name_g}",
-                    "check": "cocycle",
-                    "pass": verdicts[a, b],
-                }
-            )
+            record(f"{name_f},{name_g}", "cocycle", verdicts[a, b])
     return records

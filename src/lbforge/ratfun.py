@@ -84,26 +84,26 @@ def poly2(entries) -> Sparse:
     return Sparse(entries)
 
 
-def poly2_divide_vu(p: Sparse):
+def poly2_divide_vu(p):
     """Divide p by (v - u) in the last two key entries (deg_u, deg_v): returns
-    (quotient, remainder).  Leading key entries, such as the leg indices of
-    a polynomial tensor, ride along, so one call divides a whole tensor.
+    (quotient, remainder), both of p's type (``Sparse`` or dict).  Leading key
+    entries, such as the leg indices of a polynomial tensor, ride along.
 
     Synthetic division in v at the root v = u; the remainder is p(u, u),
     with deg_v 0 in its keys.
     """
     by_v = {}
     for key, c in p.items():
-        by_v.setdefault(key[-1], Sparse()).iadd(key[:-1], c)
-    quot = Sparse()
-    carry = Sparse()
-    for b in range(max(by_v, default=0), 0, -1):
-        carry = carry + by_v.get(b, Sparse())
-        for k, c in carry.items():
-            quot.iadd((*k, b - 1), c)
-        carry = Sparse((((*k[:-1], k[-1] + 1), c) for k, c in carry.items()))
-    rem = carry + by_v.get(0, Sparse())
-    return quot, Sparse((((*k, 0), c) for k, c in rem.items()))
+        by_v.setdefault(key[-1], {})[key[:-1]] = c
+    quot = {}
+    carry = {}
+    for b in range(max(by_v, default=0), -1, -1):
+        for k, c in by_v.get(b, {}).items():
+            carry[k] = carry.get(k, 0) + c
+        if b:
+            quot.update(((*k, b - 1), c) for k, c in carry.items() if c)
+            carry = {(*k[:-1], k[-1] + 1): c for k, c in carry.items() if c}
+    return type(p)(quot), type(p)(((*k, 0), c) for k, c in carry.items() if c)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from lbforge.cobracket import (
 from lbforge.liealg import basis_element, build_sl, jordanian
 from lbforge.lagrangian import catalog_w0
 from lbforge.pairing import CaseSpec
-from lbforge.ratfun import poly2
+from lbforge.ratfun import bivar, poly2
 from lbforge.rmatrix import (
     RKind,
     SpectralTensor2,
@@ -201,7 +201,17 @@ def combinations(draw):
 def test_linear_delta_matches_direct(case):
     alg, text, f = case
     r, memo = _memo(alg, text)
-    assert memo(f) == delta(alg, r, f)
+    assert memo(f) == memo.scale * delta(alg, r, f)
+
+
+def test_basis_cobrackets_are_ints():
+    r, memo = _memo(ALG3, "I:two-points:1,2")
+    assert memo.scale == 6
+    d = memo.basis((0, 2))
+    assert d and all(type(c) is int for c in d.values())
+    assert memo({(0, 1): Fraction(2), (3, 0): Fraction(-1)}) == memo.scale * delta(
+        ALG3, r, Sparse({(0, 1): 2, (3, 0): -1})
+    )
 
 
 def _direct_records(alg, text, r, cap):
@@ -232,22 +242,79 @@ def _direct_records(alg, text, r, cap):
     return out
 
 
-@pytest.mark.parametrize("constant", ["catalog", "not skew"])
-def test_sweep_records_match_direct_checks(constant):
-    text = "I:two-points:1,2"
+def _without_f_e(alg, r):
+    """r with its F (x) E entry removed: delta(E) is no longer polynomial."""
+    e, f = alg.basis.index("E(1,2)"), alg.basis.index("F(1,2)")
+    return SpectralTensor2({k: v for k, v in r.entries.items() if k != (f, e)})
+
+
+def _two_points(alg, text):
     spec = CaseSpec.parse(text)
-    r = build_r(ALG, spec, catalog_rkind(ALG, spec))
-    cap = 2
-    if constant == "not skew":
+    return build_r(alg, spec, catalog_rkind(alg, spec))
+
+
+@pytest.mark.parametrize(
+    "alg, text, r, cap",
+    [
+        (ALG, "I:two-points:1,2", _two_points(ALG, "I:two-points:1,2"), 2),
         # e (x) f alone breaks skew-symmetry and co-Jacobi; delta stays polynomial
-        r = r + from_constant(Sparse({(0, 1): Fraction(1)}))
-        cap = 1
-    records = axiom_sweep(ALG, text, r, cap)
+        (ALG, "not skew", _two_points(ALG, "I:two-points:1,2")
+         + from_constant(Sparse({(0, 1): Fraction(1)})), 1),
+        # non-integer constants: L = 48
+        (ALG, "I:two-points:3/4,-8/3", _two_points(ALG, "I:two-points:3/4,-8/3"), 2),
+        # one entry dropped at sl_3: some basis cobrackets are not polynomial
+        (ALG3, "dropped", _without_f_e(ALG3, _two_points(ALG3, "I:two-points:1,2")), 1),
+    ],
+    ids=["catalog", "not skew", "non-integer constants", "sl3 entry dropped"],
+)
+def test_sweep_records_match_direct_checks(alg, text, r, cap):
+    assert BasisCobrackets(alg, r).scale > 1
+    records = axiom_sweep(alg, text, r, cap)
     got = [(rec["element"], rec["check"], rec["pass"]) for rec in records]
-    assert got == _direct_records(ALG, text, r, cap)
+    assert got == _direct_records(alg, text, r, cap)
     assert all(rec["family"] == text for rec in records)
-    if constant == "not skew":
+    if text in ("not skew", "dropped"):
         assert not all(ok for *_, ok in got)
+    if text == "dropped":
+        assert any(check == "polynomial" and not ok for _, check, ok in got)
+
+
+@st.composite
+def rational_tensors(draw):
+    """A random r over sl_2: a kernel num/(v-u) Omega, a constant part, and
+    entries with random numerators over (v - u)^0..2, all rational."""
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    monos = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    polys = st.dictionaries(monos, coeffs, min_size=1, max_size=3).map(poly2)
+    r = kernel_tensor(ALG, draw(polys))
+    constant = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs))
+    r = r + from_constant(Sparse(constant))
+    for key in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=2)):
+        r = r + SpectralTensor2({key: bivar(draw(polys), draw(st.integers(0, 2)))})
+    return r
+
+
+@settings(max_examples=25, deadline=None)
+@given(rational_tensors())
+def test_sweep_matches_direct_checks_on_random_tensors(r):
+    memo = BasisCobrackets(ALG, r)
+    for key in [(i, k) for i in range(ALG.dim) for k in range(3)]:
+        try:
+            expected = memo.scale * delta(ALG, r, Sparse({key: 1}))
+        except NotPolynomialError:
+            expected = None
+        assert memo.basis(key) == expected
+    records = axiom_sweep(ALG, "-", r, 1)
+    got = [(rec["element"], rec["check"], rec["pass"]) for rec in records]
+    assert got == _direct_records(ALG, "-", r, 1)
+
+
+@pytest.mark.parametrize(
+    "max_degree, cocycle_degree", [(-1, None), (-1, 0), (2, -1), (0, -3)]
+)
+def test_sweep_rejects_negative_degrees(max_degree, cocycle_degree):
+    with pytest.raises(InvalidParameterError):
+        axiom_sweep(ALG, "I:constant", YANG, max_degree, cocycle_degree)
 
 
 def _count_delta(monkeypatch):
@@ -285,12 +352,6 @@ def test_sweep_lifts_r_once(monkeypatch):
     r = build_r(ALG, spec, catalog_rkind(ALG, spec))
     axiom_sweep(ALG, "I:two-points:1,2", r, 2)
     assert lifts == [r]
-
-
-def _without_f_e(alg, r):
-    """r with its F (x) E entry removed: delta(E) is no longer polynomial."""
-    e, f = alg.basis.index("E(1,2)"), alg.basis.index("F(1,2)")
-    return SpectralTensor2({k: v for k, v in r.entries.items() if k != (f, e)})
 
 
 def test_sweep_records_non_polynomial_cobrackets_as_failures(monkeypatch):
