@@ -218,10 +218,11 @@ def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
 
     Returns a list of {"family", "element", "check", "pass"} records; the
     cocycle runs over all ordered generator pairs up to ``cocycle_degree``
-    (defaults to ``max_degree``).
+    (defaults to ``max_degree``); a negative degree raises
+    InvalidParameterError.
 
     delta is linear in f, so one ``BasisCobrackets`` per sweep computes
-    delta(x_i u^k) once per basis monomial, and every check takes its
+    L * delta(x_i u^k), in ints, once per basis monomial, and every check takes its
     cobrackets from it: the generators, the inner cobrackets of co-Jacobi
     and delta([f, g]) of the cocycle.  The memo is dropped when the sweep
     returns.  The cocycle runs once per unordered pair, building the two
