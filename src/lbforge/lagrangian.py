@@ -1,5 +1,5 @@
-"""Lagrangian complements W of g[u] in the double: quotient epimorphisms,
-lifts, the shipped catalog, windowed Lagrangian checks, and dual bases.
+"""Lagrangian complements W of g[u] in the double: lifts from the finite
+quotient, the shipped catalog, windowed Lagrangian checks, and dual bases.
 
 Every W handled here contains a polynomial-ideal tail m(t) g[t] with
 t = u^{-1}, plus finitely many head generators.  The quotient of the
@@ -20,7 +20,6 @@ from .errors import (
     InconclusiveWindowError,
     InvalidParameterError,
     NotTransversalError,
-    ShapeMismatchError,
 )
 from .liealg import LieAlgebraData, basis_element, bracket, bracket_poly, form
 from .pairing import CaseSpec, DoubleElement, canonical_pairings, embed_canonical, pairing_map
@@ -65,17 +64,6 @@ def quotient_ambient(spec: CaseSpec) -> str:
     return "gxg" if spec.a_form in ("two-points", "simple-pole") else "geps"
 
 
-def quot_bracket(alg, ambient, a, b):
-    x1, x2 = a
-    y1, y2 = b
-    if ambient == "gxg":
-        return (bracket(alg, x1, y1), bracket(alg, x2, y2))
-    return (
-        bracket(alg, x1, y1),
-        bracket(alg, x1, y2) + bracket(alg, x2, y1),
-    )
-
-
 def quot_form(alg, ambient, a, b) -> Fraction:
     x1, x2 = a
     y1, y2 = b
@@ -107,57 +95,6 @@ def _loop_from_tpoly(x: Sparse, p: Sparse) -> Sparse:
         for i, ci in x.items():
             out.iadd((i, -d), c * ci)
     return out
-
-
-def psi(alg: LieAlgebraData, spec: CaseSpec, x: DoubleElement):
-    """Quotient image of an element of g[u^{-1}] (plus finite summands).
-
-    Returns a pair of g-elements in the case's quotient ambient.  The
-    kernel is exactly the tail ideal.
-    """
-    if any(d > 0 for (_, d) in x.loop):
-        raise ShapeMismatchError("loop part must live in g[u^-1]")
-    # collect the loop part as g-valued coefficients of t^k
-    by_deg = {}
-    for (i, d), c in x.loop.items():
-        by_deg.setdefault(-d, Sparse()).iadd(i, c)
-    dt, form_ = spec.double_type, spec.a_form
-    if dt == "I":
-        if x.fin or x.eps:
-            raise ShapeMismatchError("type I elements carry no finite summand")
-        if form_ == "two-points":
-            left, right = Sparse(), Sparse()
-            for k, xs in by_deg.items():
-                left += spec.c1**k * xs
-                right += spec.c2**k * xs
-            return (left, right)
-        if form_ == "simple-pole":
-            # t -> (0, 1): evaluate at t = 0 and t = 1
-            left, right = Sparse(), Sparse()
-            for k, xs in by_deg.items():
-                if k == 0:
-                    left += xs
-                right += xs
-            return (left, right)
-        if form_ == "double-pole":
-            # t -> 1 + eps: value and derivative at t = 1
-            val, der = Sparse(), Sparse()
-            for k, xs in by_deg.items():
-                val += xs
-                der += k * xs
-            return (val, der)
-        # constant: t -> eps
-        return (by_deg.get(0, Sparse()), by_deg.get(1, Sparse()))
-    if dt == "II":
-        if x.eps:
-            raise ShapeMismatchError("type II elements carry no dual-number summand")
-        at = Fraction(1) if form_ == "simple-pole" else Fraction(0)
-        left = Sparse()
-        for k, xs in by_deg.items():
-            left += at**k * xs
-        return (left, x.fin.copy())
-    # type III: kill the loop entirely
-    return (x.fin.copy(), x.eps.copy())
 
 
 def psi_inverse_lift(alg: LieAlgebraData, spec: CaseSpec, target) -> DoubleElement:
@@ -263,12 +200,53 @@ def de_bracket(alg, spec, x: DoubleElement, y: DoubleElement) -> DoubleElement:
     return DoubleElement(loop, fin=fin, eps=eps)
 
 
+def rem(w: WPresentation, el: DoubleElement) -> Sparse:
+    """``el.coords()`` with the loop part in g[t] reduced modulo m(t).
+
+    Long division in t = u^{-1}, separately for each basis index; positive
+    powers of u, ``fin`` and ``eps`` pass through.  Two elements have the
+    same remainder exactly when they differ by an element of the tail ideal
+    m(t) g[t].
+    """
+    out = el.coords()
+    mdeg = w.tail_degree()
+    lower = [(d, c / w.tail[mdeg]) for d, c in w.tail.items() if d < mdeg]
+    tops = {}
+    for (i, d) in el.loop:
+        if -d >= mdeg:
+            tops[i] = max(tops.get(i, 0), -d)
+    for i, top in tops.items():
+        # every degree from the top down: a step may refill a lower one >= deg m
+        for k in range(top, mdeg - 1, -1):
+            c = out.pop((0, i, k), None)
+            if c:
+                for d, cm in lower:
+                    out.iadd((0, i, k - mdeg + d), -c * cm)
+    return out
+
+
+def _closure_checks(alg, w: WPresentation, window: int):
+    """(label, x, y) for every bracket [x, y] that closure checks: the head
+    pairs (a, b), a < b, and head a with each tail monomial m(t) t^j x_i,
+    labelled (a, ("tail", j, i)), for j < min(k, window - deg m + 1), k the
+    largest power of u in head a."""
+    for a, h in enumerate(w.head):
+        for b in range(a + 1, len(w.head)):
+            yield (a, b), h, w.head[b]
+        k = max((d for (_, d) in h.loop), default=0)
+        steps = min(k, window - w.tail_degree() + 1)
+        tails = tail_monomials(alg, w, w.tail_degree() + steps - 1)
+        for idx, y in enumerate(tails):
+            yield (a, ("tail", idx // alg.dim, idx % alg.dim)), h, y
+
+
 @dataclass
 class LagrangianReport:
     isotropic: bool
     closed: bool
     transversal: bool
     witness: tuple = None  # (index pair, value) for an isotropy failure
+    closure_witness: tuple = None  # label of the first bracket leaving W
 
     @property
     def ok(self):
@@ -282,13 +260,17 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
     test is inconclusive.  Each window element's coordinates are formed
     once.  Isotropy dots coords(basis[a]) with the pairing map of basis[b]
     over the window's loop degrees, for a, then b >= a; the witness is the
-    first nonzero pair and its value.  Closure brackets only the pairs that
-    contain a head generator: two tail monomials m(t) t^a x and m(t) t^b y with
-    deg m + a, deg m + b <= window bracket to m(t) (m(t) t^{a+b}) [x, y],
-    a combination of tail monomials m(t) t^j z with deg m + j <= 2 window,
-    so it lies in the wide window's span for any m and any head.  A head
-    times a tail monomial is bracketed, since a head read from a file may
-    carry positive powers of u.
+    first nonzero pair and its value.
+
+    Closure works modulo the tail ideal: W is the span of the heads plus
+    m(t) g[t], so a bracket lies in W exactly when its remainder (``rem``)
+    lies in the span of the heads' remainders.  A bracket of two tail
+    monomials lies in the tail ideal, and so does a head times m(t) t^j x
+    unless the head carries a power u^k with k > j.  The head pairs are
+    checked, and each head with largest u power k > 0 against the tail
+    monomials with j < min(k, window - deg m + 1), the ones inside the
+    window; ``closure_witness`` labels the first bracket that leaves W (see
+    ``_closure_checks``).
     """
     head_deg = max(
         (max((-d for (_, d) in g.loop), default=0) for g in w.head), default=0
@@ -298,14 +280,12 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
             f"window {window} too small for generators of degree {head_deg} "
             f"and tail of degree {w.tail_degree()}"
         )
-    # the window basis is the head plus the wide window's first tail steps
-    wide = window_basis(alg, w, 2 * window)
-    basis = wide[: len(w.head) + alg.dim * (window - w.tail_degree() + 1)]
-    coords = [el.coords() for el in wide]
+    basis = window_basis(alg, w, window)
+    coords = [el.coords() for el in basis]
     degrees = [d for el in basis for (_, d) in el.loop] or [0]
     maps = [pairing_map(alg, w.spec, el, min(degrees), max(degrees)) for el in basis]
     witness = None
-    for a, ca in enumerate(coords[: len(basis)]):
+    for a, ca in enumerate(coords):
         for b in range(a, len(basis)):
             mb = maps[b]
             val = sum(c * mb[e] for e, c in ca.items() if e in mb)
@@ -315,20 +295,20 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
         if witness:
             break
 
-    # closure: brackets with a head generator stay in the wider window's span
+    # closure modulo the tail ideal: remainders against the heads' remainders
     span = RowSpan()
-    for row in coords:
-        span.add(row)
-    closed = all(
-        span.contains(de_bracket(alg, w.spec, basis[a], basis[b]).coords())
-        for a in range(len(w.head))
-        for b in range(a + 1, len(basis))
+    for h in w.head:
+        span.add(rem(w, h))
+    closure_witness = next(
+        (label for label, x, y in _closure_checks(alg, w, window)
+         if not span.contains(rem(w, de_bracket(alg, w.spec, x, y)))),
+        None,
     )
 
     # transversality: W-window plus canonical window spans the slice
     slice_span = RowSpan()
     count = 0
-    for row in coords[: len(basis)]:
+    for row in coords:
         if slice_span.add(row):
             count += 1
     for k in range(window + 1):
@@ -342,7 +322,9 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
     elif w.spec.double_type == "III":
         slice_dim += 2 * alg.dim
     transversal = slice_span.dim == slice_dim and count == slice_dim
-    return LagrangianReport(witness is None, closed, transversal, witness)
+    return LagrangianReport(
+        witness is None, closure_witness is None, transversal, witness, closure_witness
+    )
 
 
 def dual_basis(alg, w: WPresentation, truncation: int):

@@ -166,8 +166,13 @@ def bracket_poly(alg: LieAlgebraData, f: Sparse, g: Sparse) -> Sparse:
     return out
 
 
+_ZERO = Sparse()
+
+
 def bracket_basis(alg: LieAlgebraData, i: int, j: int) -> Sparse:
-    return alg.struct.get((i, j), Sparse())
+    """[b_i, b_j], shared with ``alg.struct`` (one shared empty ``Sparse``
+    when it is zero): callers must not mutate the result."""
+    return alg.struct.get((i, j), _ZERO)
 
 
 def form(alg: LieAlgebraData, x: Sparse, y: Sparse) -> Fraction:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbforge.errors import (
     InconclusiveWindowError,
@@ -8,7 +10,7 @@ from lbforge.errors import (
     NotTransversalError,
     ShapeMismatchError,
 )
-from lbforge.liealg import basis_element, build_sl
+from lbforge.liealg import basis_element, bracket, build_sl
 from lbforge.lagrangian import (
     FiniteLagrangian,
     WPresentation,
@@ -18,17 +20,16 @@ from lbforge.lagrangian import (
     eps_complement,
     is_lagrangian,
     lift_lagrangian,
-    psi,
     psi_inverse_lift,
-    quot_bracket,
     quotient_ambient,
+    rem,
     tail_poly,
     triangular_complement,
     window_basis,
 )
 from lbforge.pairing import CaseSpec, DoubleElement, embed_canonical, q_form
 from lbforge.ratfun import poly1
-from lbforge.sparse import Sparse, gauss_solve
+from lbforge.sparse import RowSpan, Sparse, gauss_solve
 
 ALG = build_sl(2)
 ALL_CASES = [
@@ -48,6 +49,69 @@ def tp(c1=1, c2=2):
 
 
 # -- psi ----------------------------------------------------------------------
+
+def quot_bracket(alg, ambient, a, b):
+    x1, x2 = a
+    y1, y2 = b
+    if ambient == "gxg":
+        return (bracket(alg, x1, y1), bracket(alg, x2, y2))
+    return (
+        bracket(alg, x1, y1),
+        bracket(alg, x1, y2) + bracket(alg, x2, y1),
+    )
+
+
+def psi(alg, spec: CaseSpec, x: DoubleElement):
+    """Quotient image of an element of g[u^{-1}] (plus finite summands).
+
+    Returns a pair of g-elements in the case's quotient ambient.  The
+    kernel is exactly the tail ideal.  The oracle of the lift and of
+    ``rem``.
+    """
+    if any(d > 0 for (_, d) in x.loop):
+        raise ShapeMismatchError("loop part must live in g[u^-1]")
+    # collect the loop part as g-valued coefficients of t^k
+    by_deg = {}
+    for (i, d), c in x.loop.items():
+        by_deg.setdefault(-d, Sparse()).iadd(i, c)
+    dt, form_ = spec.double_type, spec.a_form
+    if dt == "I":
+        if x.fin or x.eps:
+            raise ShapeMismatchError("type I elements carry no finite summand")
+        if form_ == "two-points":
+            left, right = Sparse(), Sparse()
+            for k, xs in by_deg.items():
+                left += spec.c1**k * xs
+                right += spec.c2**k * xs
+            return (left, right)
+        if form_ == "simple-pole":
+            # t -> (0, 1): evaluate at t = 0 and t = 1
+            left, right = Sparse(), Sparse()
+            for k, xs in by_deg.items():
+                if k == 0:
+                    left += xs
+                right += xs
+            return (left, right)
+        if form_ == "double-pole":
+            # t -> 1 + eps: value and derivative at t = 1
+            val, der = Sparse(), Sparse()
+            for k, xs in by_deg.items():
+                val += xs
+                der += k * xs
+            return (val, der)
+        # constant: t -> eps
+        return (by_deg.get(0, Sparse()), by_deg.get(1, Sparse()))
+    if dt == "II":
+        if x.eps:
+            raise ShapeMismatchError("type II elements carry no dual-number summand")
+        at = Fraction(1) if form_ == "simple-pole" else Fraction(0)
+        left = Sparse()
+        for k, xs in by_deg.items():
+            left += at**k * xs
+        return (left, x.fin.copy())
+    # type III: kill the loop entirely
+    return (x.fin.copy(), x.eps.copy())
+
 
 def test_psi_two_points_generators():
     spec = tp()
@@ -191,6 +255,15 @@ def test_catalog_passes_window_checks(text):
     spec = CaseSpec.parse(text)
     report = is_lagrangian(ALG, catalog_w0(ALG, spec), 6)
     assert report.isotropic and report.closed and report.transversal
+    assert report.witness is None and report.closure_witness is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_catalog_passes_window_checks_at_higher_rank(n):
+    alg = build_sl(n)
+    for text in ALL_CASES:
+        report = is_lagrangian(alg, catalog_w0(alg, CaseSpec.parse(text)), 6)
+        assert report.ok and report.closure_witness is None
 
 
 def _flip_c1(alg):
@@ -267,7 +340,10 @@ def test_head_bracket_leaving_w_is_not_closed():
     spec = tp()
     w = WPresentation(spec, [DoubleElement(Sparse({(i, 0): 1})) for i in (0, 1)],
                       tail_poly(spec))
-    assert is_lagrangian(ALG, w, 6).closed is False
+    report = is_lagrangian(ALG, w, 6)
+    assert report.closed is False
+    assert report.closure_witness == (0, 1)
+    assert _windowed_closure_witness(ALG, w, 6) == (0, 1)
 
 
 def test_head_with_positive_power_times_tail_is_not_closed():
@@ -275,7 +351,117 @@ def test_head_with_positive_power_times_tail_is_not_closed():
     # nor a multiple of the only head e u
     spec = CaseSpec.parse("I:constant")
     w = WPresentation(spec, [DoubleElement(Sparse({(0, 1): 1}))], tail_poly(spec))
-    assert is_lagrangian(ALG, w, 6).closed is False
+    report = is_lagrangian(ALG, w, 6)
+    assert report.closed is False
+    assert report.closure_witness == (0, ("tail", 0, 1))  # f u^{-2} = m(t) f
+    assert _windowed_closure_witness(ALG, w, 6) == (0, ("tail", 0, 1))
+
+
+def _windowed_closure_witness(alg, w, window):
+    """The closure check on a doubled window, with no tail ideal: every
+    bracket of a head with a later window element must lie in the span of
+    the head and the tail monomials up to t-degree 2 window.  Returns the
+    label of the first bracket that does not, in ``is_lagrangian``'s terms,
+    or None."""
+    wide = window_basis(alg, w, 2 * window)
+    basis = wide[: len(w.head) + alg.dim * (window - w.tail_degree() + 1)]
+    span = RowSpan()
+    for el in wide:
+        span.add(el.coords())
+    nhead = len(w.head)
+    for a in range(nhead):
+        for b in range(a + 1, len(basis)):
+            if not span.contains(de_bracket(alg, w.spec, basis[a], basis[b]).coords()):
+                if b < nhead:
+                    return (a, b)
+                return (a, ("tail", (b - nhead) // alg.dim, (b - nhead) % alg.dim))
+    return None
+
+
+ALGS = {n: build_sl(n) for n in (2, 3)}
+EXTRA_PARTS = {"I": [], "II": ["fin"], "III": ["fin", "eps"]}
+
+
+@st.composite
+def perturbed_presentations(draw):
+    """A catalog W at sl_2 or sl_3 with one to three edits: a loop term of
+    u-degree -2..2 added to a head, a finite or dual-number part added
+    (types II and III), or a head dropped."""
+    alg = ALGS[draw(st.sampled_from([2, 3]))]
+    spec = CaseSpec.parse(draw(st.sampled_from(ALL_CASES)))
+    w = catalog_w0(alg, spec)
+    head = list(w.head)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["loop", "drop"] + EXTRA_PARTS[spec.double_type]))
+        a = draw(st.integers(0, len(head) - 1))
+        i = draw(st.integers(0, alg.dim - 1))
+        c = draw(st.sampled_from([-2, -1, 1, 3]))
+        g = head[a]
+        if kind == "drop":
+            del head[a]
+        elif kind == "loop":
+            term = Sparse({(i, draw(st.integers(-2, 2))): c})
+            head[a] = DoubleElement(g.loop + term, g.fin, g.eps)
+        elif kind == "fin":
+            head[a] = DoubleElement(g.loop, g.fin + Sparse({i: c}), g.eps)
+        else:
+            head[a] = DoubleElement(g.loop, g.fin, g.eps + Sparse({i: c}))
+    return alg, WPresentation(spec, head, w.tail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_presentations())
+def test_closure_matches_windowed_oracle(case):
+    alg, w = case
+    report = is_lagrangian(alg, w, 6)
+    want = _windowed_closure_witness(alg, w, 6)
+    assert report.closure_witness == want
+    assert report.closed is (want is None)
+
+
+def test_remainder_reduces_refilled_degrees():
+    # m = t^2 - t: one step on t^3 e leaves t^2 e, itself of degree deg m,
+    # and the next step leaves t e
+    w = catalog_w0(ALG, CaseSpec.parse("I:simple-pole"))
+    assert rem(w, DoubleElement(Sparse({(0, -3): 1}))) == Sparse({(0, 0, 1): 1})
+    # at sl_3 a u^{-2} term added to a head keeps W closed only when the
+    # division also reduces the degrees its own steps refill
+    alg = ALGS[3]
+    head = list(catalog_w0(alg, w.spec).head)
+    head[0] = DoubleElement(head[0].loop + Sparse({(0, -2): 1}))
+    w3 = WPresentation(w.spec, head, w.tail)
+    assert _windowed_closure_witness(alg, w3, 6) is None
+    assert is_lagrangian(alg, w3, 6).closed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ALL_CASES),
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(-5, 0)),
+        st.integers(-3, 3).filter(bool),
+        max_size=8,
+    ),
+    st.dictionaries(st.integers(0, 2), st.integers(-3, 3).filter(bool), max_size=3),
+    st.dictionaries(st.integers(0, 2), st.integers(-3, 3).filter(bool), max_size=3),
+)
+def test_remainder_has_the_same_quotient_image(text, loop, fin, eps):
+    # psi's kernel is the tail ideal, so v and v with its loop part replaced
+    # by the remainder have one image; the remainder has t-degree < deg m
+    spec = CaseSpec.parse(text)
+    parts = EXTRA_PARTS[spec.double_type]
+    v = DoubleElement(
+        Sparse(loop),
+        Sparse(fin) if "fin" in parts else Sparse(),
+        Sparse(eps) if "eps" in parts else Sparse(),
+    )
+    w = catalog_w0(ALG, spec)
+    r = rem(w, v)
+    loop_part = Sparse(((key[1], -key[2]), c) for key, c in r.items() if key[0] == 0)
+    reduced = DoubleElement(loop_part, v.fin, v.eps)
+    assert psi(ALG, spec, reduced) == psi(ALG, spec, v)
+    assert all(-d < w.tail_degree() for (_, d) in reduced.loop)
+    assert r == reduced.coords()
 
 
 def test_window_too_small():
