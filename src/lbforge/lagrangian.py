@@ -307,21 +307,17 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
 
     # transversality: W-window plus canonical window spans the slice
     slice_span = RowSpan()
-    count = 0
     for row in coords:
-        if slice_span.add(row):
-            count += 1
+        slice_span.add(row)
     for k in range(window + 1):
         for i in range(alg.dim):
-            el = embed_canonical(w.spec, basis_element(i), k)
-            if slice_span.add(el.coords()):
-                count += 1
+            slice_span.add(embed_canonical(w.spec, basis_element(i), k).coords())
     slice_dim = alg.dim * (2 * window + 1)
     if w.spec.double_type == "II":
         slice_dim += alg.dim
     elif w.spec.double_type == "III":
         slice_dim += 2 * alg.dim
-    transversal = slice_span.dim == slice_dim and count == slice_dim
+    transversal = slice_span.dim == slice_dim
     return LagrangianReport(
         witness is None, closure_witness is None, transversal, witness, closure_witness
     )

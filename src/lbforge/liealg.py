@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidParameterError, InvalidRankError
-from .sparse import Sparse, gauss_solve
+from .sparse import Sparse
 
 
 @dataclass
@@ -29,7 +29,7 @@ class LieAlgebraData:
     basis: list
     struct: dict  # (i, j) -> Sparse over basis indices, i != j
     gram: list  # dense symmetric matrix of the trace form
-    gram_inv: list = field(repr=False, default=None)
+    gram_inv: list = field(repr=False)
 
     @property
     def dim(self):
@@ -47,82 +47,62 @@ class LieAlgebraData:
         return 2 * len(self.positive_roots) + (i - 1)
 
 
-def _matrix_units(n):
-    """sl_n basis as {index: {(row, col): coeff}} sparse matrices."""
-    roots = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    mats = []
-    for (i, j) in roots:
-        mats.append({(i, j): Fraction(1)})
-    for (i, j) in roots:
-        mats.append({(j, i): Fraction(1)})
-    for i in range(1, n):
-        mats.append({(i, i): Fraction(1), (i + 1, i + 1): Fraction(-1)})
-    return roots, mats
-
-
-def _mat_mul(a, b):
-    out = {}
-    for (i, k), x in a.items():
-        for (k2, j), y in b.items():
-            if k == k2:
-                key = (i, j)
-                out[key] = out.get(key, Fraction(0)) + x * y
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _mat_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) - v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _mat_trace_prod(a, b):
-    return sum((x * b.get((j, i), 0) for (i, j), x in a.items()), Fraction(0))
-
-
-def _in_basis(mat, roots, n):
-    """Express a traceless matrix in the E/F/H basis."""
-    out = Sparse()
-    npos = len(roots)
-    for (i, j), c in mat.items():
-        if i < j:
-            out.iadd(roots.index((i, j)), c)
-        elif i > j:
-            out.iadd(npos + roots.index((j, i)), c)
-    if any(i == j for i, j in mat):
-        # diagonal part: partial sums give the H coordinates
-        acc = Fraction(0)
-        for i in range(1, n):
-            acc += mat.get((i, i), Fraction(0))
-            out.iadd(2 * npos + (i - 1), acc)
-    return out
-
-
 def build_sl(n: int) -> LieAlgebraData:
-    """sl_n with the trace form; raises on n < 2."""
+    """sl_n with the trace form; raises on n < 2.
+
+    Each basis element is at most two matrix units, so its brackets follow
+    from [e_ij, e_kl] = d_jk e_il - d_li e_kj.  The Gram matrix pairs E(alpha)
+    with F(alpha) to 1 and is the Cartan matrix (2 on the diagonal, -1 next
+    to it) on the H block; its inverse also pairs E(alpha) with F(alpha) to 1
+    and is min(k, l) (n - max(k, l)) / n on the H block.
+    """
     if n < 2:
         raise InvalidRankError(f"sl_n needs n >= 2, got {n}")
-    roots, mats = _matrix_units(n)
+    roots = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     npos = len(roots)
     labels = (
         [f"E({i},{j})" for (i, j) in roots]
         + [f"F({i},{j})" for (i, j) in roots]
         + [f"H({i})" for i in range(1, n)]
     )
-    dim = len(mats)
+    units = (
+        [((i, j, 1),) for (i, j) in roots]
+        + [((j, i, 1),) for (i, j) in roots]
+        + [((k, k, 1), (k + 1, k + 1, -1)) for k in range(1, n)]
+    )
+    offdiag = {u[0][:2]: a for a, u in enumerate(units[:2 * npos])}  # E/F index
     struct = {}
-    for a in range(dim):
-        for b in range(dim):
+    for a, x in enumerate(units):
+        for b, y in enumerate(units):
             if a == b:
                 continue
-            comm = _mat_sub(_mat_mul(mats[a], mats[b]), _mat_mul(mats[b], mats[a]))
-            coords = _in_basis(comm, roots, n)
+            comm = {}
+            for p, q, s in ((x, y, 1), (y, x, -1)):
+                for i, j, c in p:
+                    for k, l, d in q:
+                        if j == k:
+                            comm[i, l] = comm.get((i, l), 0) + s * c * d
+            coords = [(offdiag[key], c) for key, c in comm.items() if key in offdiag]
+            if any(i == j for i, j in comm):
+                # diagonal part: partial sums give the H coordinates
+                acc = 0
+                for k in range(1, n):
+                    acc += comm.get((k, k), 0)
+                    coords.append((2 * npos + k - 1, acc))
+            coords = Sparse(coords)
             if coords:
                 struct[(a, b)] = coords
-    gram = [[_mat_trace_prod(mats[a], mats[b]) for b in range(dim)] for a in range(dim)]
-    identity = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-    gram_inv = gauss_solve(gram, identity)
+    dim = len(units)
+    gram = [[Fraction(0)] * dim for _ in range(dim)]
+    gram_inv = [[Fraction(0)] * dim for _ in range(dim)]
+    for a in range(npos):
+        for m in (gram, gram_inv):
+            m[a][npos + a] = m[npos + a][a] = Fraction(1)
+    for k in range(1, n):
+        for l in range(1, n):
+            a, b = 2 * npos + k - 1, 2 * npos + l - 1
+            gram[a][b] = Fraction({0: 2, 1: -1}.get(abs(k - l), 0))
+            gram_inv[a][b] = Fraction(min(k, l) * (n - max(k, l)), n)
     return LieAlgebraData(
         n=n,
         rank=n - 1,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import LbforgeError, MalformedInputError
+from .errors import MalformedInputError
 from .liealg import LieAlgebraData, build_sl
 from .pairing import DoubleElement
 from .ratfun import bivar
@@ -152,23 +152,6 @@ def double_element_doc(alg, el: DoubleElement) -> dict:
     return doc
 
 
-def double_element_from_doc(doc, alg) -> DoubleElement:
-    try:
-        index = {label: k for k, label in enumerate(alg.basis)}
-        loop = Sparse()
-        for label, d, c in doc.get("loop", []):
-            loop.iadd((index[label], _json_int(d, "degree")), parse_frac(c))
-        fin = Sparse()
-        for label, c in doc.get("finite", []):
-            fin.iadd(index[label], parse_frac(c))
-        eps = Sparse()
-        for label, c in doc.get("eps", []):
-            eps.iadd(index[label], parse_frac(c))
-        return DoubleElement(loop, fin=fin, eps=eps)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"malformed element record: {exc}") from exc
-
-
 def wpresentation_to_doc(alg, w) -> dict:
     """Head generators plus the tail polynomial m(t), t = u^{-1}."""
     return {
@@ -176,25 +159,6 @@ def wpresentation_to_doc(alg, w) -> dict:
         "head": [double_element_doc(alg, gen) for gen in w.head],
         "tail": [[d, frac_str(c)] for d, c in sorted(w.tail.items())],
     }
-
-
-def wpresentation_from_doc(doc, alg):
-    from .lagrangian import WPresentation
-    from .pairing import CaseSpec
-
-    try:
-        spec = CaseSpec.parse(doc["case"])
-        head = [double_element_from_doc(entry, alg) for entry in doc["head"]]
-        tail = Sparse()
-        for d, c in doc["tail"]:
-            tail.iadd(_json_int(d, "tail degree"), parse_frac(c))
-        if tail.is_zero():
-            raise MalformedInputError("tail polynomial must be nonzero")
-        return WPresentation(spec=spec, head=head, tail=tail)
-    except MalformedInputError:
-        raise
-    except (KeyError, TypeError, ValueError, LbforgeError) as exc:
-        raise MalformedInputError(f"malformed presentation: {exc}") from exc
 
 
 def dump(doc, path=None) -> str:

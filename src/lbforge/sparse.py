@@ -9,8 +9,8 @@ e.g. (i, j, deg_u, deg_v).
 
 ``RowSpan`` keeps a row space in reduced row echelon form; it serves the
 membership and rank tests of the Lagrangian checks and the sparse dual-basis
-system, and ``gauss_solve`` solves the one dense system, the Gram inverse of
-``build_sl``, by feeding it the augmented rows.
+system.  ``gauss_solve`` feeds it the augmented rows of a dense system; no
+library code calls it, and the tests use it as their reference dense solver.
 """
 
 from __future__ import annotations

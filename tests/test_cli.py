@@ -6,16 +6,51 @@ from fractions import Fraction
 import pytest
 
 from lbforge import serialize
-from lbforge.errors import MalformedInputError
+from lbforge.errors import LbforgeError, MalformedInputError
 from lbforge.cli import main
-from lbforge.lagrangian import catalog_w0
+from lbforge.lagrangian import WPresentation, catalog_w0
 from lbforge.liealg import build_sl
-from lbforge.pairing import CaseSpec
+from lbforge.pairing import CaseSpec, DoubleElement
 from lbforge.ratfun import BivarRat, bivar, poly2
 from lbforge.rmatrix import SpectralTensor2, build_r, catalog_rkind
 from lbforge.sparse import Sparse, poly_mul
 
 ALG = build_sl(2)
+
+
+# -- presentation parsers (the inverse of serialize.wpresentation_to_doc) -----
+
+def double_element_from_doc(doc, alg) -> DoubleElement:
+    try:
+        index = {label: k for k, label in enumerate(alg.basis)}
+        loop = Sparse()
+        for label, d, c in doc.get("loop", []):
+            loop.iadd((index[label], serialize._json_int(d, "degree")), serialize.parse_frac(c))
+        fin = Sparse()
+        for label, c in doc.get("finite", []):
+            fin.iadd(index[label], serialize.parse_frac(c))
+        eps = Sparse()
+        for label, c in doc.get("eps", []):
+            eps.iadd(index[label], serialize.parse_frac(c))
+        return DoubleElement(loop, fin=fin, eps=eps)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInputError(f"malformed element record: {exc}") from exc
+
+
+def wpresentation_from_doc(doc, alg) -> WPresentation:
+    try:
+        spec = CaseSpec.parse(doc["case"])
+        head = [double_element_from_doc(entry, alg) for entry in doc["head"]]
+        tail = Sparse()
+        for d, c in doc["tail"]:
+            tail.iadd(serialize._json_int(d, "tail degree"), serialize.parse_frac(c))
+        if tail.is_zero():
+            raise MalformedInputError("tail polynomial must be nonzero")
+        return WPresentation(spec=spec, head=head, tail=tail)
+    except MalformedInputError:
+        raise
+    except (KeyError, TypeError, ValueError, LbforgeError) as exc:
+        raise MalformedInputError(f"malformed presentation: {exc}") from exc
 
 
 def run(argv, capsys=None):
@@ -80,7 +115,7 @@ def test_wpresentation_round_trip():
     for text in ["I:two-points:1,2", "II:simple-pole", "III:constant"]:
         w = catalog_w0(ALG, CaseSpec.parse(text))
         doc = json.loads(json.dumps(serialize.wpresentation_to_doc(ALG, w)))
-        back = serialize.wpresentation_from_doc(doc, ALG)
+        back = wpresentation_from_doc(doc, ALG)
         assert back.spec == w.spec
         assert back.tail == w.tail
         assert len(back.head) == len(w.head)
@@ -222,12 +257,12 @@ def test_non_integer_presentation_degrees_are_malformed(degree):
     loop_doc = json.loads(json.dumps(doc))
     loop_doc["head"][0]["loop"][0][1] = degree
     with pytest.raises(MalformedInputError, match="degree must be an integer"):
-        serialize.wpresentation_from_doc(loop_doc, ALG)
+        wpresentation_from_doc(loop_doc, ALG)
     with pytest.raises(MalformedInputError, match="degree must be an integer"):
-        serialize.double_element_from_doc(loop_doc["head"][0], ALG)
+        double_element_from_doc(loop_doc["head"][0], ALG)
     doc["tail"][0][0] = degree
     with pytest.raises(MalformedInputError, match="tail degree must be an integer"):
-        serialize.wpresentation_from_doc(doc, ALG)
+        wpresentation_from_doc(doc, ALG)
 
 
 def test_loaded_entries_are_in_lowest_terms(tmp_path):

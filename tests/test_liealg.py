@@ -73,7 +73,7 @@ def to_dense(alg, x: Sparse, mats):
     return out
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_structure_constants_match_matrix_commutators(n):
     alg = build_sl(n)
     mats = dense_basis(n)
@@ -84,13 +84,22 @@ def test_structure_constants_match_matrix_commutators(n):
             assert got == expected, (alg.basis[a], alg.basis[b])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_gram_matches_trace_form(n):
     alg = build_sl(n)
     mats = dense_basis(n)
     for a in range(alg.dim):
         for b in range(alg.dim):
             assert alg.gram[a][b] == mat_trace(mat_mul(mats[a], mats[b]))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_gram_inverse_is_inverse(n):
+    alg = build_sl(n)
+    for a, row in enumerate(alg.gram):
+        for b in range(alg.dim):
+            entry = sum((x * alg.gram_inv[k][b] for k, x in enumerate(row) if x), Fraction(0))
+            assert entry == (1 if a == b else 0), (alg.basis[a], alg.basis[b])
 
 
 def test_sl2_frozen_table():
