@@ -8,14 +8,15 @@ import sys
 
 from lbforge.cli import main as cli_main
 
+# each built with its catalog constant part, the CLI default
 FAMILIES = [
-    ("I:two-points:1,2", "dj"),
-    ("I:double-pole", "zero"),
-    ("I:simple-pole", "dj"),
-    ("I:constant", "zero"),
-    ("II:simple-pole", "dj"),
-    ("II:constant", "dj"),
-    ("III:constant", "zero"),
+    "I:two-points:1,2",
+    "I:double-pole",
+    "I:simple-pole",
+    "I:constant",
+    "II:simple-pole",
+    "II:constant",
+    "III:constant",
 ]
 
 
@@ -29,12 +30,11 @@ def main(argv=None):
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     worst = 0
-    for case, part in FAMILIES:
+    for case in FAMILIES:
         slug = case.replace(":", "_").replace(",", "_")
         path = outdir / f"{slug}.json"
         code = cli_main(
-            ["build", "--algebra", args.algebra, "--case", case, "--r", part,
-             "--out", str(path)]
+            ["build", "--algebra", args.algebra, "--case", case, "--out", str(path)]
         )
         if code != 0:
             print(f"{case:22s} build FAILED ({code})")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import serialize
 from .cobracket import axiom_sweep
@@ -29,7 +28,7 @@ from .rmatrix import (
     skew_spectral_check,
     sum_dual_series,
 )
-from .sparse import Sparse
+from .sparse import Sparse, rational
 from .twist import quasi_twist_verify
 
 EXIT_OK = 0
@@ -287,9 +286,8 @@ def cmd_dualbasis(args) -> int:
 def cmd_equiv(args) -> int:
     report = quasi_twist_verify(args.c1, args.c2, args.d1, args.d2)
     verdict = "equal" if report.equal else "different"
-    print(
-        f"p={report.change.p} q={report.change.q} C={report.scale} {verdict}"
-    )
+    p, q, scale = map(serialize.frac_str, (report.change.p, report.change.q, report.scale))
+    print(f"p={p} q={q} C={scale} {verdict}")
     return EXIT_OK if report.equal else EXIT_CHECK_FAILED
 
 
@@ -306,7 +304,7 @@ def cmd_table(args) -> int:
 
 def _fraction_arg(text):
     try:
-        return Fraction(text)
+        return rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 

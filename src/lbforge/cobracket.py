@@ -33,11 +33,6 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def g_poly(x: Sparse, degree: int = 0) -> Sparse:
-    """x * u^degree as an element of g[u]."""
-    return Sparse((((i, degree), c) for i, c in x.items()))
-
-
 def lift(r: SpectralTensor2):
     """(top, numerators): r put over one (v - u)^top, numerators flat."""
     top = max((val.den_pow for _, val in r.items()), default=0)

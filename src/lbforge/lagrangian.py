@@ -24,7 +24,7 @@ from .errors import (
 from .liealg import LieAlgebraData, basis_element, bracket, bracket_poly, form
 from .pairing import CaseSpec, DoubleElement, canonical_pairings, embed_canonical, pairing_map
 from .ratfun import poly1
-from .sparse import RowSpan, Sparse
+from .sparse import RowSpan, Sparse, poly_mul
 
 
 @dataclass
@@ -56,12 +56,10 @@ class FiniteLagrangian:
 
 
 def quotient_ambient(spec: CaseSpec) -> str:
-    """Which finite quotient a case uses."""
-    if spec.double_type == "II":
-        return "gxg"
-    if spec.double_type == "III":
-        return "geps"
-    return "gxg" if spec.a_form in ("two-points", "simple-pole") else "geps"
+    """Which finite quotient a case uses: g + g for two distinct points,
+    g + eps*g for a double one."""
+    c1, c2 = spec.points
+    return "gxg" if c1 != c2 else "geps"
 
 
 def quot_form(alg, ambient, a, b) -> Fraction:
@@ -73,19 +71,13 @@ def quot_form(alg, ambient, a, b) -> Fraction:
 
 
 def tail_poly(spec: CaseSpec) -> Sparse:
-    """Generator m(t) of the tail ideal, t = u^{-1}."""
-    form_, dt = spec.a_form, spec.double_type
-    if dt == "I":
-        if form_ == "two-points":
-            return poly1([spec.c1 * spec.c2, -(spec.c1 + spec.c2), 1])
-        if form_ == "double-pole":
-            return poly1([1, -2, 1])
-        if form_ == "simple-pole":
-            return poly1({1: -1, 2: 1})
-        return poly1({2: 1})
-    if dt == "II":
-        return poly1([-1, 1]) if form_ == "simple-pole" else poly1({1: 1})
-    return poly1([1])
+    """Generator m(t) = prod (t - c) over the finite points of the tail
+    ideal, t = u^{-1}."""
+    m = poly1([1])
+    for c in spec.points:
+        if c is not None:
+            m = poly_mul(m, poly1([-c, 1]))
+    return m
 
 
 def _loop_from_tpoly(x: Sparse, p: Sparse) -> Sparse:
@@ -98,20 +90,17 @@ def _loop_from_tpoly(x: Sparse, p: Sparse) -> Sparse:
 
 
 def psi_inverse_lift(alg: LieAlgebraData, spec: CaseSpec, target) -> DoubleElement:
-    """Distinguished coset representative of minimal degree in u^{-1}."""
+    """Distinguished coset representative of minimal degree in u^{-1}.
+
+    Type I: the a + b t with p(c1) = x1 and p(c2) = x2 for two distinct
+    points, with p(c1) = x1 and p'(c1) = x2 for a double one.
+    """
     x1, x2 = target
-    dt, form_ = spec.double_type, spec.a_form
+    dt = spec.double_type
     if dt == "I":
-        if form_ == "two-points":
-            c1, c2 = spec.c1, spec.c2
-            b = (1 / (c1 - c2)) * (x1 - x2)
-            a = (1 / (c1 - c2)) * (c1 * x2 - c2 * x1)
-        elif form_ == "simple-pole":
-            a, b = x1, x2 - x1
-        elif form_ == "double-pole":
-            a, b = x1 - x2, x2
-        else:
-            a, b = x1, x2
+        c1, c2 = spec.points
+        b = x2 if c1 == c2 else Fraction(1, c1 - c2) * (x1 - x2)
+        a = x1 - c1 * b
         return DoubleElement(
             _loop_from_tpoly(a, poly1([1])) + _loop_from_tpoly(b, poly1({1: 1}))
         )
@@ -312,12 +301,8 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
     for k in range(window + 1):
         for i in range(alg.dim):
             slice_span.add(embed_canonical(w.spec, basis_element(i), k).coords())
-    slice_dim = alg.dim * (2 * window + 1)
-    if w.spec.double_type == "II":
-        slice_dim += alg.dim
-    elif w.spec.double_type == "III":
-        slice_dim += 2 * alg.dim
-    transversal = slice_span.dim == slice_dim
+    at_infinity = w.spec.points.count(None)
+    transversal = slice_span.dim == alg.dim * (2 * window + 1 + at_infinity)
     return LagrangianReport(
         witness is None, closure_witness is None, transversal, witness, closure_witness
     )

@@ -162,15 +162,6 @@ def form(alg: LieAlgebraData, x: Sparse, y: Sparse) -> Fraction:
     )
 
 
-def dual_element(alg: LieAlgebraData, x: Sparse) -> Sparse:
-    """The element x* with form(x*, b_j) = x_j for all j."""
-    out = Sparse()
-    for i, c in x.items():
-        for j in range(alg.dim):
-            out.iadd(j, c * alg.gram_inv[j][i])
-    return out
-
-
 def casimir(alg: LieAlgebraData) -> Sparse:
     """Omega = sum_i b_i (x) b^i over the form-dual basis."""
     out = Sparse()
@@ -225,17 +216,6 @@ def jordanian(alg: LieAlgebraData, root=None) -> Sparse:
     for i, c in h.items():
         out.iadd((i, e_idx), c)
         out.iadd((e_idx, i), -c)
-    return out
-
-
-def ad_action2(alg: LieAlgebraData, x: Sparse, t: Sparse) -> Sparse:
-    """[x (x) 1 + 1 (x) x, t] on a constant 2-tensor."""
-    out = Sparse()
-    for (i, j), c in t.items():
-        for k, ck in bracket(alg, x, basis_element(i)).items():
-            out.iadd((k, j), c * ck)
-        for k, ck in bracket(alg, x, basis_element(j)).items():
-            out.iadd((i, k), c * ck)
     return out
 
 

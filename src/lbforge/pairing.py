@@ -2,12 +2,14 @@
 pairings of the three double types.
 
 A ``CaseSpec`` is a double type (I, II, III) plus one of four canonical
-shapes for the series weight a(u):
-
-    two-points   a(u) = 1/((1 - c1 u)(1 - c2 u)),  c1 != c2 nonzero
-    double-pole  a(u) = 1/(1 - u)^2
-    simple-pole  a(u) = 1/(1 - u)
-    constant     a(u) = 1
+shapes for the series weight a(u): two-points, double-pole, simple-pole
+and constant.  Each of the seven legal families is a pair of points
+(c1, c2) on the projective line, ``CaseSpec.points``, and type I, II, III
+puts 0, 1, 2 of them at infinity.  Every per-family formula is read off
+the two points: a(u) = 1/prod (1 - c u) over the type I points of the
+shape, deg 1/a(u) is the number of those that are nonzero, and the tail
+ideal, quotient, lift, kernel and constant part of r follow in
+``lagrangian`` and ``rmatrix``.
 
 Elements of the double carry a Laurent-loop part and, depending on the
 type, a finite summand and a dual-number summand:
@@ -24,8 +26,8 @@ The pairings are
 
 with K the trace form extended coefficientwise.  With s = 0, 1, 2 for
 types I, II, III and t_m the Taylor coefficients of a(u), cached on the
-``CaseSpec``, the residue is the direct sum of c1 c2 K(x_i, x_j) t_{s-1-k-l}
-over the loop terms c1 x_i u^k of f1 and c2 x_j u^l of f2 with k + l < s.
+``CaseSpec``, the residue is the direct sum of b1 b2 K(x_i, x_j) t_{s-1-k-l}
+over the loop terms b1 x_i u^k of f1 and b2 x_j u^l of f2 with k + l < s.
 The canonical copy of g[u] sits inside the double with finite components
 read off from the value and first derivative at u = 0 (types II and III);
 this is the unique embedding that makes g[u] isotropic.
@@ -47,17 +49,20 @@ from fractions import Fraction
 from .errors import InvalidParameterError, ShapeMismatchError
 from .liealg import LieAlgebraData
 from .ratfun import RatFun1, expand_at_zero, poly1
-from .sparse import Sparse
+from .sparse import Sparse, rational
 
 DOUBLE_TYPES = ("I", "II", "III")
 A_FORMS = ("two-points", "double-pole", "simple-pole", "constant")
 
-# degree of 1/a(u) for each canonical shape
-A_FORM_DEGREE = {
-    "two-points": 2,
-    "double-pole": 2,
-    "simple-pole": 1,
-    "constant": 0,
+# the points (c1, c2) of each family but I:two-points, which carries its
+# own; None is infinity
+FAMILY_POINTS = {
+    ("I", "double-pole"): (1, 1),
+    ("I", "simple-pole"): (0, 1),
+    ("I", "constant"): (0, 0),
+    ("II", "simple-pole"): (1, None),
+    ("II", "constant"): (0, None),
+    ("III", "constant"): (None, None),
 }
 
 # largest admissible degree of 1/a(u) per double type
@@ -95,7 +100,7 @@ class CaseSpec:
             return cls(parts[0], parts[1])
         if len(parts) == 3:
             try:
-                c1, c2 = (Fraction(p) for p in parts[2].split(","))
+                c1, c2 = (rational(p) for p in parts[2].split(","))
             except (ValueError, ZeroDivisionError) as exc:
                 raise InvalidParameterError(f"bad constants in {text!r}") from exc
             return cls(parts[0], parts[1], c1, c2)
@@ -107,17 +112,22 @@ class CaseSpec:
             return f"{self.double_type}:two-points:{self.c1},{self.c2}"
         return f"{self.double_type}:{self.a_form}"
 
-    def a(self) -> RatFun1:
-        """The weight a(u) as an exact rational function, a(0) = 1."""
+    def _points(self, double_type: str) -> tuple:
         if self.a_form == "two-points":
-            den = poly1([1, -(self.c1 + self.c2), self.c1 * self.c2])
-        elif self.a_form == "double-pole":
-            den = poly1([1, -2, 1])
-        elif self.a_form == "simple-pole":
-            den = poly1([1, -1])
-        else:
-            den = poly1([1])
-        return RatFun1(poly1([1]), den)
+            return (self.c1, self.c2)
+        return FAMILY_POINTS[(double_type, self.a_form)]
+
+    @property
+    def points(self) -> tuple:
+        """The family's two points (c1, c2) on the projective line, None for
+        infinity; defined for the combinations ``validate_case`` accepts."""
+        return self._points(self.double_type)
+
+    def a(self) -> RatFun1:
+        """The weight a(u) = 1/prod (1 - c u) over the type I points of the
+        shape, as an exact rational function, a(0) = 1."""
+        c1, c2 = self._points("I")
+        return RatFun1(poly1([1]), poly1([1, -(c1 + c2), c1 * c2]))
 
     def taylor(self, order: int) -> list:
         """Taylor coefficients t_0..t_order (at least) of a(u), kept on the
@@ -131,10 +141,10 @@ def validate_case(spec: CaseSpec):
     """None when the combination is legal, else a rejection string.
 
     The rejection quotes the degree bound that rules the combination out:
-    deg 1/a(u) is at most 2 for type I, at most 1 for type II, and 0 for
-    type III.
+    deg 1/a(u), the number of nonzero type I points of the shape, is at
+    most 2 for type I, at most 1 for type II, and 0 for type III.
     """
-    deg = A_FORM_DEGREE[spec.a_form]
+    deg = sum(1 for c in spec._points("I") if c)
     bound = MAX_DEGREE[spec.double_type]
     if deg > bound:
         return (

@@ -1,9 +1,9 @@
-"""Exact scalar substrate: univariate rational functions, Laurent residues,
-and bivariate rational functions with denominator a power of (v - u).
+"""Exact scalar substrate: univariate rational functions and their Taylor
+series at 0, and bivariate rational functions with denominator a power of
+(v - u).
 
 Polynomials are ``Sparse`` maps exponent -> Fraction; univariate keys are
-ints, bivariate keys are (deg_u, deg_v) pairs.  A Laurent scalar is the same
-as a univariate polynomial but may carry negative exponents.
+ints, bivariate keys are (deg_u, deg_v) pairs.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class RatFun1:
             raise ZeroDivisionError("zero denominator")
 
 
-def ratfun1(num, den=(1,)) -> RatFun1:
-    return RatFun1(poly1(num), poly1(den))
-
-
 def expand_at_zero(f: RatFun1, order: int):
     """Taylor coefficients t_0..t_order of f at u = 0 by long division."""
     d0 = f.den.get(0, 0)
@@ -51,30 +47,6 @@ def expand_at_zero(f: RatFun1, order: int):
                 acc -= dj * coeffs[k - j]
         coeffs.append(acc / d0)
     return coeffs
-
-
-def residue(f: Sparse, a: RatFun1) -> Fraction:
-    """Coefficient of u^{-1} in f(u) * a(u), f a Laurent polynomial.
-
-    Only the finitely many negative-degree terms of f contribute; the
-    expansion order of a is chosen from the lowest degree present in f.
-    """
-    if f.is_zero():
-        return Fraction(0)
-    lowest = min(f)
-    if lowest >= 0:
-        return Fraction(0)
-    taylor = expand_at_zero(a, -lowest - 1)
-    total = Fraction(0)
-    for k, c in f.items():
-        if k < 0:
-            total += c * taylor[-k - 1]
-    return total
-
-
-def laurent_shift(f: Sparse, m: int) -> Sparse:
-    """Multiply a Laurent scalar by u^m."""
-    return Sparse(((k + m, c) for k, c in f.items()))
 
 
 # -- bivariate layer ---------------------------------------------------------
@@ -135,9 +107,6 @@ class BivarRat:
         return BivarRat(scalar * self.num, self.den_pow)
 
     __rmul__ = __mul__
-
-    def mul_rat(self, other: "BivarRat") -> "BivarRat":
-        return bivar(poly_mul(self.num, other.num), self.den_pow + other.den_pow)
 
 
 _VU = Sparse({(0, 1): Fraction(1), (1, 0): Fraction(-1)})  # v - u

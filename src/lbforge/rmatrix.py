@@ -1,12 +1,15 @@
 """Closed-form spectral r-matrices for the seven case families, the
 dual-basis series, and exact CYBE / unitarity verification.
 
-Every family has the shape r(u, v) = k(u, v) * Omega + s with a rational
-kernel k whose denominator is (v - u) and a constant part s derived from
-a classification datum: a solution r of the modified classical
-Yang-Baxter equation (r + swap(r) = Omega, CYB(r) = 0) for the g+g
-quotients, a skew solution (r + swap(r) = 0, CYB(r) = 0) for the
-dual-number quotients.
+Every family has the shape r(u, v) = k(u, v)/(v - u) * Omega + s with a
+polynomial kernel k and a constant part s derived from a classification
+datum: a solution r of the modified classical Yang-Baxter equation
+(r + swap(r) = Omega, CYB(r) = 0) for the g+g quotients, a skew solution
+(r + swap(r) = 0, CYB(r) = 0) for the dual-number quotients.  Both are
+read off the family's two points (``CaseSpec.points``): the kernel is
+(1 - c2 u)(1 - c1 v), with u (or v) in place of a factor whose point is
+infinity, and s is (c1 - c2) r for two distinct finite points and r
+otherwise.  The paper's displays:
 
     I:two-points   (1 - c1 v - c2 u + c1 c2 u v)/(v-u) Omega + (c1-c2) r
     I:double-pole  (u-1)(v-1)/(v-u) Omega + r
@@ -16,12 +19,8 @@ dual-number quotients.
     II:constant    v/(v-u) Omega - swap(r)
     III:constant   u v/(v-u) Omega + r
 
-The II:constant constant part is -swap(r) rather than +r: unitarity of
-r(u, v) forces the constant block s to satisfy s + swap(s) = -Omega in
-this family (the kernel's symmetric part is +1), and -swap(r) is the
-involution that carries solutions of the modified equation onto exactly
-those blocks.  The dual-basis series of the shipped complement confirms
-the sign.
+II:constant is built as u/(v-u) Omega + r, the same tensor: v/(v-u) =
+u/(v-u) + 1 and Omega - swap(r) = r for the modified data it accepts.
 
 Spectral CYBE runs on r = sum phi(u, v)/(v-u)^d (x) T, phi spanning each
 denominator class d (rank <= 2 for the families), T coprime integers so the
@@ -141,16 +140,6 @@ def kernel_tensor(alg, num: Sparse) -> SpectralTensor2:
     return out
 
 
-_FAMILY_KERNEL = {
-    ("I", "double-pole"): poly2({(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1}),
-    ("I", "simple-pole"): poly2({(0, 0): 1, (1, 0): -1}),
-    ("I", "constant"): poly2({(0, 0): 1}),
-    ("II", "simple-pole"): poly2({(1, 0): 1, (1, 1): -1}),
-    ("II", "constant"): poly2({(0, 1): 1}),
-    ("III", "constant"): poly2({(1, 1): 1}),
-}
-
-
 def build_r(alg: LieAlgebraData, spec: CaseSpec, rk: RKind) -> SpectralTensor2:
     """The family member labelled by a classification datum."""
     reason = validate_case(spec)
@@ -161,20 +150,12 @@ def build_r(alg: LieAlgebraData, spec: CaseSpec, rk: RKind) -> SpectralTensor2:
         raise KindMismatchError(
             f"family {spec.text} takes a {need} constant part, got {rk.tag}"
         )
-    if spec.a_form == "two-points":
-        c1, c2 = spec.c1, spec.c2
-        num = poly2(
-            {(0, 0): 1, (0, 1): -c1, (1, 0): -c2, (1, 1): c1 * c2}
-        )
-        const = (c1 - c2) * rk.value
-    else:
-        num = _FAMILY_KERNEL[(spec.double_type, spec.a_form)]
-        if (spec.double_type, spec.a_form) == ("I", "simple-pole"):
-            const = -rk.value
-        elif (spec.double_type, spec.a_form) == ("II", "constant"):
-            const = -swap2(rk.value)
-        else:
-            const = rk.value
+    c1, c2 = spec.points
+    # (1 - c2 u)(1 - c1 v), u or v for a point at infinity
+    num = poly_mul(poly2({(1, 0): 1} if c2 is None else {(0, 0): 1, (1, 0): -c2}),
+                   poly2({(0, 1): 1} if c1 is None else {(0, 0): 1, (0, 1): -c1}))
+    distinct = None not in (c1, c2) and c1 != c2
+    const = (c1 - c2) * rk.value if distinct else rk.value
     return kernel_tensor(alg, num) + from_constant(const)
 
 

@@ -15,16 +15,21 @@ from .liealg import LieAlgebraData, build_sl
 from .pairing import DoubleElement
 from .ratfun import bivar
 from .rmatrix import SpectralTensor2
-from .sparse import Sparse
+from .sparse import Sparse, rational
 
 
 def frac_str(x) -> str:
-    return str(Fraction(x))
+    """x as "num/den"; a numerator or denominator longer than Python
+    converts to text (sys.get_int_max_str_digits) cannot be written."""
+    try:
+        return str(Fraction(x))
+    except ValueError as exc:
+        raise MalformedInputError(f"result too long to write: {exc}") from exc
 
 
 def parse_frac(s) -> Fraction:
     try:
-        return Fraction(str(s))
+        return rational(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"bad rational {s!r}") from exc
 

@@ -11,11 +11,27 @@ e.g. (i, j, deg_u, deg_v).
 membership and rank tests of the Lagrangian checks and the sparse dual-basis
 system.  ``gauss_solve`` feeds it the augmented rows of a dense system; no
 library code calls it, and the tests use it as their reference dense solver.
+
+``rational`` is the one reader of rational text, shared by the tensor files,
+the case text and the command line.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# decimal-free rational text: no exponent, point, underscore or whitespace
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def rational(text: str) -> Fraction:
+    """The Fraction written [+-]digits[/digits]; ValueError for any other
+    text or for more digits than int() converts, ZeroDivisionError for a
+    zero denominator."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a decimal-free rational: {text!r}")
+    return Fraction(text)
 
 
 class Sparse(dict):

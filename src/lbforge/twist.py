@@ -37,10 +37,6 @@ class AffineChange:
         if self.p == 0:
             raise DegenerateSubstitutionError("affine change needs p != 0")
 
-    def compose(self, other: "AffineChange") -> "AffineChange":
-        """self after other: u -> self(other(u))."""
-        return AffineChange(self.p * other.p, self.p * other.q + self.q)
-
 
 def _check_admissible(c1, c2, d1, d2):
     if c1 == c2 or d1 == d2:

@@ -602,6 +602,58 @@ def test_dualbasis_degree_cap(tmp_path, monkeypatch):
     assert main(["dualbasis", "--case", "I:constant", "--degree", "3"]) == 0
 
 
+# -- rational text and results too long to write -----------------------------
+
+# 4,001 digits: within what int() reads from text, but a product of two is not
+HUGE = "1" + "0" * 4000
+
+
+def _one_error_line(err, fragment):
+    return err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1.5", "1_0", " 1"])
+def test_non_rational_argument_exits_2(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["equiv", text, "2", "1", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument c1: not a rational: {text!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1.5"])
+def test_non_rational_case_constant_exits_2(capsys, text):
+    assert main(["build", "--case", f"I:two-points:{text},2"]) == 2
+    assert _one_error_line(capsys.readouterr().err, "bad constants")
+
+
+@pytest.mark.parametrize("checks", ["cybe", "skew", "duality"])
+def test_exponent_coefficient_is_malformed(tmp_path, capsys, checks):
+    def edit(entry):
+        entry["num"][0][2] = "1e5000"
+
+    path = _with_entry(tmp_path, edit)
+    argv = ["verify", "--in", str(path), "--case", "I:two-points:1,2", "--checks", checks]
+    assert main(argv) == 3
+    assert _one_error_line(capsys.readouterr().err, "bad rational '1e5000'")
+
+
+def test_witness_too_long_to_write_exits_3(tmp_path, capsys):
+    doc = json.loads(build_file(tmp_path, "I:constant", "zero").read_text())
+    for entry in doc["entries"]:
+        entry["num"] = [[0, 0, HUGE]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(path), "--checks", "cybe"]) == 3
+    assert _one_error_line(capsys.readouterr().err, "result too long to write")
+
+
+def test_build_too_long_to_write_exits_3(capsys):
+    assert main(["build", "--case", f"I:two-points:{HUGE},2{HUGE}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err, "result too long to write")
+
+
 # -- equiv / table ------------------------------------------------------------
 
 def test_equiv_frozen(capsys):

@@ -14,7 +14,6 @@ from lbforge.cobracket import (
     check_cojacobi,
     check_skew,
     delta,
-    g_poly,
 )
 from lbforge.liealg import basis_element, build_sl, jordanian
 from lbforge.lagrangian import catalog_w0
@@ -30,6 +29,7 @@ from lbforge.rmatrix import (
     sum_dual_series,
 )
 from lbforge.sparse import Sparse
+from test_liealg import ad_action2
 
 ALG = build_sl(2)
 YANG = kernel_tensor(ALG, poly2({(0, 0): 1}))  # Omega/(v-u)
@@ -55,8 +55,6 @@ def test_delta_constant_element_sees_only_constant_part():
 
 
 def _ad_const(t):
-    from lbforge.liealg import ad_action2
-
     return ad_action2(ALG, basis_element(0), t)
 
 
@@ -105,10 +103,6 @@ def test_bracket_poly():
     # [e u, f u^2] = h u^3
     lhs = bracket_poly(ALG, E_U, Sparse({(1, 2): Fraction(1)}))
     assert lhs == Sparse({(2, 3): Fraction(1)})
-
-
-def test_g_poly_helper():
-    assert g_poly(basis_element(0), 3) == Sparse({(0, 3): Fraction(1)})
 
 
 def test_axiom_sweep_small():

@@ -200,6 +200,17 @@ def test_lift_double_pole_frozen():
     assert lift.loop == Sparse({(0, -1): Fraction(1), (0, 0): Fraction(-1)})
 
 
+def test_lift_constant_frozen():
+    spec = CaseSpec.parse("I:constant")
+    lift = psi_inverse_lift(ALG, spec, (2 * F, E))  # 2f + eps * e
+    assert lift.loop == Sparse({(1, 0): Fraction(2), (0, -1): Fraction(1)})
+
+
+def test_quotient_ambient_frozen():
+    ambients = ["gxg", "geps", "gxg", "geps", "gxg", "gxg", "geps"]
+    assert [quotient_ambient(CaseSpec.parse(t)) for t in ALL_CASES] == ambients
+
+
 @pytest.mark.parametrize("text", ALL_CASES)
 def test_psi_inverse_is_section(text):
     spec = CaseSpec.parse(text)

@@ -104,6 +104,45 @@ def test_two_point_displays_agree():
         assert built == other_display
 
 
+# The paper's seven displays, written out: the kernel numerator k(u, v) of
+# k/(v - u) Omega, and the constant part as a function of the datum r.
+DISPLAYS = {
+    "I:double-pole": ({(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1}, lambda r: r),
+    "I:simple-pole": ({(0, 0): 1, (1, 0): -1}, lambda r: -r),
+    "I:constant": ({(0, 0): 1}, lambda r: r),
+    "II:simple-pole": ({(1, 0): 1, (1, 1): -1}, lambda r: r),
+    "II:constant": ({(0, 1): 1}, lambda r: -swap2(r)),
+    "III:constant": ({(1, 1): 1}, lambda r: r),
+}
+TWO_POINT_PAIRS = [(1, 2), (Fraction(5, 2), -3), (Fraction(-1, 3), 4)]
+
+
+def paper_display(alg, spec, r):
+    if spec.a_form == "two-points":
+        c1, c2 = spec.c1, spec.c2
+        kern = {(0, 0): 1, (0, 1): -c1, (1, 0): -c2, (1, 1): c1 * c2}
+        const = (c1 - c2) * r
+    else:
+        kern, part = DISPLAYS[spec.text]
+        const = part(r)
+    return kernel_tensor(alg, poly2(kern)) + from_constant(const)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize(
+    "text", [f"I:two-points:{c1},{c2}" for c1, c2 in TWO_POINT_PAIRS] + list(DISPLAYS)
+)
+def test_build_r_matches_paper_display(text, n):
+    alg = build_sl(n)
+    spec = CaseSpec.parse(text)
+    if family_requirement(spec) == "mcybe":
+        data = [RKind.mcybe(alg, r) for r in (r_dj(alg), swap2(r_dj(alg)))]
+    else:
+        data = [RKind.skew(alg, r) for r in (Sparse(), jordanian(alg), jordanian(alg, (1, 2)))]
+    for rk in data:
+        assert build_r(alg, spec, rk) == paper_display(alg, spec, rk.value)
+
+
 def test_quasi_trig_constant_block():
     # v/(v-u) Omega - swap(r_DJ): the degree-(0,0) block of the expansion
     # must be Omega - swap(r_DJ) = r_DJ - the skew part sign convention

@@ -79,7 +79,8 @@ def test_composition_law():
         cd = solve_pq(*c, *d)
         de = solve_pq(*d, *e)
         ce = solve_pq(*c, *e)
-        assert cd.compose(de) == ce
+        # cd after de: u -> cd(de(u))
+        assert AffineChange(cd.p * de.p, cd.p * de.q + cd.q) == ce
         assert scaling_constant(*c, cd) * scaling_constant(*d, de) == scaling_constant(
             *c, ce
         )
