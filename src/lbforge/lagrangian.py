@@ -92,8 +92,8 @@ def _loop_from_tpoly(x: Sparse, p: Sparse) -> Sparse:
 def psi_inverse_lift(alg: LieAlgebraData, spec: CaseSpec, target) -> DoubleElement:
     """Distinguished coset representative of minimal degree in u^{-1}.
 
-    Type I: the a + b t with p(c1) = x1 and p(c2) = x2 for two distinct
-    points, with p(c1) = x1 and p'(c1) = x2 for a double one.
+    Type I: the p(t) = a + b t with p(c1) = x1 and p(c2) = x2 for two
+    distinct points, with p(c1) = x1 and p'(c1) = x2 for a double one.
     """
     x1, x2 = target
     dt = spec.double_type
