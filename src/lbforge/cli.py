@@ -179,17 +179,20 @@ def _check_duality(alg, r, spec, args):
     w = catalog_w0(alg, spec)
     duals = dual_basis(alg, w, n)
     for (i, k, el) in duals:
+        # the canonical vectors x_j u^l, l <= n, that el pairs with wrongly:
+        # its nonzero pairings other than a 1 with its partner, and the
+        # partner when that pairing is 0; the witness is the least (l, j)
         pairs = canonical_pairings(alg, spec, el, n)
-        for l in range(n + 1):
-            for j in range(alg.dim):
-                val = pairs.get((j, l), 0)
-                want = 1 if (i, k) == (j, l) else 0
-                if val != want:
-                    return False, {
-                        "i": f"{alg.basis[j]}*u^{l}",
-                        "j": f"dual({alg.basis[i]}*u^{k})",
-                        "coefficient": serialize.frac_str(val),
-                    }
+        wrong = [(l, j) for (j, l), val in pairs.items() if val != 1 or (j, l) != (i, k)]
+        if (i, k) not in pairs:
+            wrong.append((k, i))
+        if wrong:
+            l, j = min(wrong)
+            return False, {
+                "i": f"{alg.basis[j]}*u^{l}",
+                "j": f"dual({alg.basis[i]}*u^{k})",
+                "coefficient": serialize.frac_str(pairs.get((j, l), 0)),
+            }
     series = sum_dual_series(alg, w, n, duals)
     closed = expand_region(r, n)
     if series == closed:
@@ -284,7 +287,14 @@ def cmd_dualbasis(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    report = quasi_twist_verify(args.c1, args.c2, args.d1, args.d2)
+    consts = []
+    for name in ("c1", "c2", "d1", "d2"):
+        text = getattr(args, name)
+        try:
+            consts.append(rational(text))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"argument {name}: not a rational: {text!r}") from None
+    report = quasi_twist_verify(*consts)
     verdict = "equal" if report.equal else "different"
     p, q, scale = map(serialize.frac_str, (report.change.p, report.change.q, report.scale))
     print(f"p={p} q={q} C={scale} {verdict}")
@@ -300,13 +310,6 @@ def cmd_table(args) -> int:
     deg = admissible_degree(args.double_type, simple_k)
     print("impossible" if deg is None else str(deg))
     return EXIT_OK
-
-
-def _fraction_arg(text):
-    try:
-        return rational(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -342,7 +345,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     equiv = sub.add_parser("equiv", help="quasi-twist equivalence of two families")
     for name in ("c1", "c2", "d1", "d2"):
-        equiv.add_argument(name, type=_fraction_arg)
+        equiv.add_argument(name)
     equiv.set_defaults(func=cmd_equiv)
 
     table = sub.add_parser("table", help="admissible degree of 1/a(u)")

@@ -38,13 +38,18 @@ loop terms and the nonzero trace-form entries of their rows, so that
 Q(x, y) is the dot product of coords(x) with the map of y.  It is the one
 pairing loop: ``q_form`` and the isotropy check dot coordinates with it,
 and ``canonical_pairings`` folds it onto the canonical basis for the
-dual-basis system and the duality check.
+dual-basis system and the duality check.  The map's loop part is summed
+over integers, exactly: y's loop terms are brought to one denominator D_y,
+the Taylor coefficients of a(u) are integer numerators over one D_t (also
+cached on the ``CaseSpec``), and each nonzero sum becomes one ``Fraction``
+over D_y * D_t at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidParameterError, ShapeMismatchError
 from .liealg import LieAlgebraData
@@ -76,6 +81,9 @@ class CaseSpec:
     c1: Fraction = None
     c2: Fraction = None
     _taylor: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # (D_t, [t_m * D_t]) for the cached Taylor coefficients, D_t their
+    # least common denominator; rebuilt whenever _taylor grows
+    _taylor_num: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.double_type not in DOUBLE_TYPES:
@@ -120,7 +128,11 @@ class CaseSpec:
     @property
     def points(self) -> tuple:
         """The family's two points (c1, c2) on the projective line, None for
-        infinity; defined for the combinations ``validate_case`` accepts."""
+        infinity; defined for the combinations ``validate_case`` accepts,
+        ``InvalidParameterError`` with its rejection for the others."""
+        reason = validate_case(self)
+        if reason is not None:
+            raise InvalidParameterError(reason)
         return self._points(self.double_type)
 
     def a(self) -> RatFun1:
@@ -135,6 +147,17 @@ class CaseSpec:
         if len(self._taylor) <= order:
             self._taylor[:] = expand_at_zero(self.a(), max(order, 2 * len(self._taylor)))
         return self._taylor
+
+    def taylor_numerators(self, order: int) -> tuple:
+        """(D_t, nums) with nums[m] / D_t = t_m for m up to order (at
+        least): the cached Taylor coefficients over one common denominator."""
+        taylor = self.taylor(order)
+        if not self._taylor_num or len(self._taylor_num[0][1]) != len(taylor):
+            den = 1
+            for t in taylor:
+                den = lcm(den, t.denominator)
+            self._taylor_num[:] = [(den, [t.numerator * (den // t.denominator) for t in taylor])]
+        return self._taylor_num[0]
 
 
 def validate_case(spec: CaseSpec):
@@ -261,17 +284,32 @@ def pairing_map(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmin: int
     check_shape(spec, y)
     s = DOUBLE_TYPES.index(spec.double_type)
     gram = alg.gram
+    # the loop part in integers: y's loop coefficients are cn / D_y with D_y
+    # the lcm of their denominators, each t_m is tnum[m] / D_t, and acc holds
+    # every value times D_y * D_t
+    acc = {}
     if y.loop:
         top = s - 1 - kmin - min(l for _, l in y.loop)
-        taylor = spec.taylor(top) if top >= 0 else ()
+        dt, tnum = spec.taylor_numerators(top) if top >= 0 else (1, ())
+        dy = 1
+        for c in y.loop.values():
+            dy = lcm(dy, c.denominator)
+        for (j, l), c in y.loop.items():
+            cn = c.numerator * (dy // c.denominator)
+            ks = range(kmin, min(kmax, s - 1 - l) + 1)
+            for i, g in enumerate(gram[j]):
+                if g:
+                    cg = cn * (g.numerator if g.denominator == 1 else g)  # always int, for sl_n
+                    for k in ks:
+                        t = tnum[s - 1 - k - l]
+                        if t:
+                            key = (0, i, -k)
+                            acc[key] = acc.get(key, 0) + cg * t
+        scale = dy * dt
     out = Sparse()
-    for (j, l), c in y.loop.items():
-        ks = range(kmin, min(kmax, s - 1 - l) + 1)
-        for i, g in enumerate(gram[j]):
-            if g:
-                cg = c * g
-                for k in ks:
-                    out.iadd((0, i, -k), cg * taylor[s - 1 - k - l])
+    for key, v in acc.items():
+        if v:
+            out[key] = Fraction(v, scale)
     # the finite summand pairs with eps in type III, with fin in type II
     finite = ((1, y.eps), (2, y.fin)) if spec.double_type == "III" else ((1, y.fin),)
     for tag, part in finite:

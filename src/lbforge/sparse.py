@@ -38,6 +38,10 @@ class Sparse(dict):
     """dict key -> Fraction with zero entries removed automatically."""
 
     def __init__(self, data=()):
+        if isinstance(data, Sparse):
+            # already nonzero Fractions: copy without re-checking each value
+            super().__init__(data)
+            return
         super().__init__()
         if isinstance(data, dict):
             data = data.items()
@@ -155,7 +159,10 @@ class RowSpan:
         if residual.is_zero():
             return False
         piv = min(residual)
-        residual = (1 / residual[piv]) * residual
+        # residual is reduce's fresh copy, so it is normalised in place
+        inv = 1 / residual[piv]
+        for k, v in residual.items():
+            residual[k] = v * inv
         for row in self.rows.values():
             c = row.get(piv)
             if c:

@@ -10,7 +10,7 @@ from lbforge.errors import LbforgeError, MalformedInputError
 from lbforge.cli import main
 from lbforge.lagrangian import WPresentation, catalog_w0
 from lbforge.liealg import build_sl
-from lbforge.pairing import CaseSpec, DoubleElement
+from lbforge.pairing import CaseSpec, DoubleElement, canonical_pairings
 from lbforge.ratfun import BivarRat, bivar, poly2
 from lbforge.rmatrix import SpectralTensor2, build_r, catalog_rkind
 from lbforge.sparse import Sparse, poly_mul
@@ -487,6 +487,64 @@ def test_verify_duality_names_first_pairing_mismatch(tmp_path, monkeypatch):
 """
 
 
+def _dense_duality_witness(alg, spec, duals, n):
+    """The duality witness by a scan of every canonical vector x_j u^l,
+    l <= n, in (degree, index) order, for each dual in turn."""
+    for i, k, el in duals:
+        pairs = canonical_pairings(alg, spec, el, n)
+        for l in range(n + 1):
+            for j in range(alg.dim):
+                val = pairs.get((j, l), 0)
+                if val != (1 if (i, k) == (j, l) else 0):
+                    return {"coefficient": str(Fraction(val)), "i": f"{alg.basis[j]}*u^{l}",
+                            "j": f"dual({alg.basis[i]}*u^{k})"}
+    return None
+
+
+# dual 4 is dual(F*u^1) at sl_2, degree 2; keys are (basis index, degree)
+DUAL_PERTURBATIONS = {
+    # pairs 1 with H*u^2 and 0 with its partner, whose key is missing
+    "partner-missing": lambda el, by_key: by_key[(2, 2)],
+    "partner-two": lambda el, by_key: 2 * el,
+    # wrong at E*u^1 and H*u^2; the map lists H*u^2 before E*u^1
+    "two-wrong": lambda el, by_key: (
+        el + Fraction(1, 3) * by_key[(2, 2)] - Fraction(5, 2) * by_key[(0, 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_PERTURBATIONS))
+def test_verify_duality_witness_matches_dense_scan(tmp_path, monkeypatch, name):
+    import lbforge.cli
+
+    real = lbforge.cli.dual_basis
+    handed = []
+
+    def perturbed(alg, w, truncation):
+        duals = real(alg, w, truncation)
+        by_key = {(i, k): el for i, k, el in duals}
+        i, k, el = duals[4]
+        duals[4] = (i, k, DUAL_PERTURBATIONS[name](el, by_key))
+        handed.extend(duals)
+        return duals
+
+    monkeypatch.setattr(lbforge.cli, "dual_basis", perturbed)
+    out = build_file(tmp_path)
+    report = tmp_path / "rep.json"
+    spec = CaseSpec.parse("I:two-points:1,2")
+    argv = ["verify", "--in", str(out), "--case", spec.text,
+            "--checks", "duality", "--degree", "2", "--out", str(report)]
+    assert main(argv) == 1
+    (check,) = json.loads(report.read_text())["checks"]
+    want = _dense_duality_witness(ALG, spec, handed, 2)
+    assert want is not None and want["j"] == "dual(F(1,2)*u^1)"
+    assert check["witness"] == want
+    if name == "two-wrong":
+        pairs = canonical_pairings(ALG, spec, handed[4][2], 2)
+        wrong = [key for key, val in pairs.items() if key != (1, 1) or val != 1]
+        assert want["i"] == "E(1,2)*u^1" and wrong == [(2, 2), (0, 1)]
+
+
 def test_non_polynomial_cobracket_fails_with_witness(tmp_path, capsys):
     path = build_file(tmp_path, case="I:constant", r="zero")
     doc = json.loads(path.read_text())
@@ -614,11 +672,8 @@ def _one_error_line(err, fragment):
 
 @pytest.mark.parametrize("text", ["1e5000", "1.5", "1_0", " 1"])
 def test_non_rational_argument_exits_2(capsys, text):
-    with pytest.raises(SystemExit) as exc:
-        main(["equiv", text, "2", "1", "2"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"error: argument c1: not a rational: {text!r}" in err and "Traceback" not in err
+    assert main(["equiv", "--", text, "2", "1", "2"]) == 2
+    assert _one_error_line(capsys.readouterr().err, f"argument c1: not a rational: {text!r}")
 
 
 @pytest.mark.parametrize("text", ["1e5000", "1.5"])

@@ -27,7 +27,7 @@ from lbforge.lagrangian import (
     triangular_complement,
     window_basis,
 )
-from lbforge.pairing import CaseSpec, DoubleElement, embed_canonical, q_form
+from lbforge.pairing import CaseSpec, DoubleElement, embed_canonical, q_form, validate_case
 from lbforge.ratfun import poly1
 from lbforge.sparse import RowSpan, Sparse, gauss_solve
 
@@ -257,6 +257,24 @@ def test_catalog_tail_polys():
     assert tail_poly(CaseSpec.parse("II:simple-pole")) == poly1([-1, 1])
     assert tail_poly(CaseSpec.parse("II:constant")) == poly1({1: 1})
     assert tail_poly(CaseSpec.parse("III:constant")) == poly1([1])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CaseSpec("II", "double-pole"), CaseSpec("III", "simple-pole"),
+     CaseSpec("II", "two-points", Fraction(1), Fraction(2))],
+    ids=lambda spec: spec.text,
+)
+@pytest.mark.parametrize("use", ["catalog_w0", "tail_poly", "quotient_ambient"])
+def test_illegal_case_rejected_with_degree_bound(spec, use):
+    # the points of an illegal family are undefined: the callers reading them
+    # reject it with validate_case's message, not a bare KeyError
+    call = {"catalog_w0": lambda: catalog_w0(ALG, spec),
+            "tail_poly": lambda: tail_poly(spec),
+            "quotient_ambient": lambda: quotient_ambient(spec)}[use]
+    with pytest.raises(InvalidParameterError) as exc:
+        call()
+    assert str(exc.value) == validate_case(spec)
 
 
 # -- is_lagrangian ------------------------------------------------------------

@@ -64,13 +64,15 @@ def test_a_normalization():
         assert expand_at_zero(a, 0) == [1]
 
 
-@pytest.mark.parametrize("text", ALL_CASES)
+@pytest.mark.parametrize("text", ALL_CASES + ["I:two-points:1/2,-3/5"])
 def test_taylor_cache_matches_expansion(text):
     spec = CaseSpec.parse(text)
     for order in (0, 3, 1, 17, 40):
         got = spec.taylor(order)
         assert len(got) > order
         assert got == expand_at_zero(spec.a(), len(got) - 1)
+        den, nums = spec.taylor_numerators(order)
+        assert [Fraction(n, den) for n in nums] == got
     assert spec == CaseSpec.parse(text) and hash(spec) == hash(CaseSpec.parse(text))
     assert repr(spec) == repr(CaseSpec.parse(text))
 
@@ -168,20 +170,20 @@ def test_shape_mismatch():
         q_form(ALG, spec2, bad2, bad2)
 
 
-def _random_element(draw, spec, degrees):
+def _random_element(draw, spec, degrees, alg=ALG):
     fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     loop = draw(
         st.dictionaries(
-            st.tuples(st.integers(0, ALG.dim - 1), st.sampled_from(degrees)),
+            st.tuples(st.integers(0, alg.dim - 1), st.sampled_from(degrees)),
             fracs,
             max_size=4,
         )
     )
     fin = eps = {}
     if spec.double_type in ("II", "III"):
-        fin = draw(st.dictionaries(st.integers(0, ALG.dim - 1), fracs, max_size=3))
+        fin = draw(st.dictionaries(st.integers(0, alg.dim - 1), fracs, max_size=3))
     if spec.double_type == "III":
-        eps = draw(st.dictionaries(st.integers(0, ALG.dim - 1), fracs, max_size=3))
+        eps = draw(st.dictionaries(st.integers(0, alg.dim - 1), fracs, max_size=3))
     return DoubleElement(Sparse(loop), fin=Sparse(fin), eps=Sparse(eps))
 
 
@@ -283,6 +285,62 @@ def test_pairing_map_matches_q_form(text, data):
     assert {key[0] for key in pmap} <= set(range(1 + ("I", "II", "III").index(spec.double_type)))
     dot = sum(c * pmap.get(e, 0) for e, c in x.coords().items())
     assert dot == q_form(ALG, spec, x, y) == _reference_q_form(spec, x, y)
+
+
+def _reference_pairing_map(alg, spec, y, kmin, kmax):
+    """The pairing map summed term by term in Fractions: b K(x_i, x_j) t_{s-1-k-l}
+    for each loop term b x_j u^l of y and k in [kmin, kmax], then the finite
+    and dual-number blocks."""
+    s = ("I", "II", "III").index(spec.double_type)
+    if y.loop:
+        top = s - 1 - kmin - min(l for _, l in y.loop)
+        taylor = expand_at_zero(spec.a(), top) if top >= 0 else ()
+    out = Sparse()
+    for (j, l), c in y.loop.items():
+        for i, g in enumerate(alg.gram[j]):
+            if g:
+                for k in range(kmin, min(kmax, s - 1 - l) + 1):
+                    out.iadd((0, i, -k), c * g * taylor[s - 1 - k - l])
+    finite = ((1, y.eps), (2, y.fin)) if spec.double_type == "III" else ((1, y.fin),)
+    for tag, part in finite:
+        for j, c in part.items():
+            for i, g in enumerate(alg.gram[j]):
+                if g:
+                    out.iadd((tag, i), -c * g)
+    return out
+
+
+ALG3 = build_sl(3)
+
+
+@pytest.mark.parametrize("text", ALL_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pairing_map_matches_fraction_reference(text, data):
+    # the integer accumulation against the Fraction one, with rational
+    # two-points constants, negative kmin and loop terms that cancel:
+    # c H_1 u^l + 2c H_2 u^l pairs to 0 with every H_1 u^k, as K(H_1, H_1) = 2
+    # and K(H_1, H_2) = -1
+    spec = CaseSpec.parse(text)
+    if spec.a_form == "two-points":
+        consts = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        c1 = data.draw(consts.filter(bool))
+        c2 = data.draw(consts.filter(lambda c: c and c != c1))
+        spec = CaseSpec("I", "two-points", c1, c2)
+    h1, h2 = ALG3.h_index(1), ALG3.h_index(2)
+    degrees = list(range(-5, 4))
+    # one spec serves every draw, so the cached numerators are rebuilt mid-test
+    for _ in range(3):
+        y = _random_element(data.draw, spec, degrees, ALG3)
+        c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+        l = data.draw(st.sampled_from(degrees))
+        y.loop.iadd((h1, l), c)
+        y.loop.iadd((h2, l), 2 * c)
+        kmin = data.draw(st.integers(-6, -1))
+        kmax = data.draw(st.integers(kmin, 5))
+        pmap = pairing_map(ALG3, spec, y, kmin, kmax)
+        assert pmap == _reference_pairing_map(ALG3, spec, y, kmin, kmax)
+        assert all(type(v) is Fraction and v != 0 for v in pmap.values())
 
 
 def test_canonical_pairings_check_shape():
