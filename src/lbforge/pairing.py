@@ -291,6 +291,8 @@ def pairing_map(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmin: int
     if y.loop:
         top = s - 1 - kmin - min(l for _, l in y.loop)
         dt, tnum = spec.taylor_numerators(top) if top >= 0 else (1, ())
+        # pairwise: lcm(*generator) builds its argument tuple outside the
+        # tuple free lists and then frees it into them, filling them
         dy = 1
         for c in y.loop.values():
             dy = lcm(dy, c.denominator)
