@@ -16,18 +16,10 @@ import time
 from lbforge.cobracket import axiom_sweep
 from lbforge.errors import LbforgeError
 from lbforge.liealg import build_sl
-from lbforge.pairing import CaseSpec
+from lbforge.pairing import FAMILY_POINTS, CaseSpec
 from lbforge.rmatrix import build_r, catalog_rkind
 
-FAMILIES = [
-    "I:two-points:1,2",
-    "I:double-pole",
-    "I:simple-pole",
-    "I:constant",
-    "II:simple-pole",
-    "II:constant",
-    "III:constant",
-]
+FAMILIES = ["I:two-points:1,2", *(f"{dt}:{form}" for dt, form in FAMILY_POINTS)]
 
 
 def main(argv=None):

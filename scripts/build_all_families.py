@@ -7,17 +7,10 @@ import pathlib
 import sys
 
 from lbforge.cli import main as cli_main
+from lbforge.pairing import FAMILY_POINTS
 
-# each built with its catalog constant part, the CLI default
-FAMILIES = [
-    "I:two-points:1,2",
-    "I:double-pole",
-    "I:simple-pole",
-    "I:constant",
-    "II:simple-pole",
-    "II:constant",
-    "III:constant",
-]
+# the seven families, each built with its catalog constant part, the CLI default
+FAMILIES = ["I:two-points:1,2", *(f"{dt}:{form}" for dt, form in FAMILY_POINTS)]
 
 
 def main(argv=None):

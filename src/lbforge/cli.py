@@ -9,15 +9,16 @@ or parse failure.  All numeric I/O is exact-rational strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from . import serialize
 from .cobracket import axiom_sweep
-from .errors import LbforgeError, MalformedInputError
+from .errors import InvalidParameterError, LbforgeError, MalformedInputError
 from .lagrangian import catalog_w0, dual_basis, is_lagrangian
 from .liealg import build_sl, casimir, jordanian, r_dj, swap2
-from .pairing import CaseSpec, admissible_degree, canonical_pairings, validate_case
+from .pairing import DOUBLE_TYPES, CaseSpec, admissible_degree, canonical_pairings, validate_case
 from .rmatrix import (
     RKind,
     build_r,
@@ -39,33 +40,31 @@ EXIT_IO = 3
 ALL_CHECKS = ("cybe", "skew", "duality", "delta-axioms", "equiv")
 
 
-class ConfigError(Exception):
-    pass
-
-
 def parse_checks(text: str) -> list:
     checks = [c.strip() for c in text.split(",") if c.strip()]
     if not checks:
-        raise ConfigError(f"no check named in {text!r}; expected some of {','.join(ALL_CHECKS)}")
+        raise InvalidParameterError(
+            f"no check named in {text!r}; expected some of {','.join(ALL_CHECKS)}"
+        )
     for n, name in enumerate(checks):
         if name not in ALL_CHECKS:
-            raise ConfigError(f"unknown check {name!r}")
+            raise InvalidParameterError(f"unknown check {name!r}")
         if name in checks[:n]:
-            raise ConfigError(f"check {name!r} is named twice")
+            raise InvalidParameterError(f"check {name!r} is named twice")
     return checks
 
 
 def parse_algebra(text: str):
     parts = text.split(":")
     if len(parts) != 2 or parts[0] != "A":
-        raise ConfigError(f"unsupported algebra {text!r}; expected A:n")
+        raise InvalidParameterError(f"unsupported algebra {text!r}; expected A:n")
     try:
         n = int(parts[1])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise InvalidParameterError(str(exc)) from exc
     cap = env_cap("LBFORGE_MAX_RANK")
     if cap is not None and n > cap:
-        raise ConfigError(f"rank {n} exceeds LBFORGE_MAX_RANK={cap}")
+        raise InvalidParameterError(f"rank {n} exceeds LBFORGE_MAX_RANK={cap}")
     return build_sl(n)
 
 
@@ -73,7 +72,7 @@ def parse_case(text: str) -> CaseSpec:
     spec = CaseSpec.parse(text)
     reason = validate_case(spec)
     if reason is not None:
-        raise ConfigError(reason)
+        raise InvalidParameterError(reason)
     return spec
 
 
@@ -82,7 +81,7 @@ def classify_rkind(alg, value: Sparse) -> RKind:
         return RKind.mcybe(alg, value)
     if (value + swap2(value)).is_zero():
         return RKind.skew(alg, value)
-    raise ConfigError("constant tensor is neither modified-type nor skew")
+    raise InvalidParameterError("constant tensor is neither modified-type nor skew")
 
 
 def parse_constant_r(alg, spec, text) -> RKind:
@@ -100,13 +99,13 @@ def parse_constant_r(alg, spec, text) -> RKind:
             try:
                 i, j = (int(p) for p in text.split(":", 1)[1].split(","))
             except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+                raise InvalidParameterError(str(exc)) from exc
             root = (i, j)
         return RKind.skew(alg, jordanian(alg, root))
     if text.startswith("file:"):
         doc = serialize.load(text[5:])
         return classify_rkind(alg, serialize.const_tensor_from_doc(doc, alg))
-    raise ConfigError(f"unknown constant part {text!r}")
+    raise InvalidParameterError(f"unknown constant part {text!r}")
 
 
 def env_cap(name: str):
@@ -117,16 +116,16 @@ def env_cap(name: str):
     try:
         return int(cap)
     except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {cap!r}") from None
+        raise InvalidParameterError(f"{name} must be an integer, got {cap!r}") from None
 
 
 def check_degree(n: int, name: str = "degree", low: int = 1) -> int:
     """Validate a degree option: low <= n, and n <= LBFORGE_MAX_DEGREE if set."""
     if n < low:
-        raise ConfigError(f"{name} must be >= {low}")
+        raise InvalidParameterError(f"{name} must be >= {low}")
     cap = env_cap("LBFORGE_MAX_DEGREE")
     if cap is not None and n > cap:
-        raise ConfigError(f"{name} {n} exceeds LBFORGE_MAX_DEGREE={cap}")
+        raise InvalidParameterError(f"{name} {n} exceeds LBFORGE_MAX_DEGREE={cap}")
     return n
 
 
@@ -174,7 +173,7 @@ def _check_skew(alg, r, spec, args):
 
 def _check_duality(alg, r, spec, args):
     if spec is None:
-        raise ConfigError("duality check needs --case")
+        raise InvalidParameterError("duality check needs --case")
     n = args.degree
     w = catalog_w0(alg, spec)
     duals = dual_basis(alg, w, n)
@@ -215,7 +214,7 @@ def _check_delta_axioms(alg, r, spec, args):
 
 def _check_equiv(alg, r, spec, args):
     if spec is None or spec.a_form != "two-points":
-        raise ConfigError("equiv check needs a two-points --case")
+        raise InvalidParameterError("equiv check needs a two-points --case")
     report = quasi_twist_verify(spec.c1, spec.c2, 1, 2, alg=alg, source=r)
     if report.equal:
         return True, None
@@ -264,7 +263,7 @@ def cmd_dualbasis(args) -> int:
     w = catalog_w0(alg, spec)
     report = is_lagrangian(alg, w, max(n, 6))
     if not report.ok:
-        raise ConfigError("catalog presentation failed the Lagrangian check")
+        raise InvalidParameterError("catalog presentation failed the Lagrangian check")
     duals = [
         {
             "i": alg.basis[i],
@@ -293,7 +292,7 @@ def cmd_equiv(args) -> int:
         try:
             consts.append(rational(text))
         except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"argument {name}: not a rational: {text!r}") from None
+            raise InvalidParameterError(f"argument {name}: not a rational: {text!r}") from None
     report = quasi_twist_verify(*consts)
     verdict = "equal" if report.equal else "different"
     p, q, scale = map(serialize.frac_str, (report.change.p, report.change.q, report.scale))
@@ -306,13 +305,15 @@ def cmd_table(args) -> int:
     if args.vertex == "simple":
         simple_k = args.k if args.k is not None else 1
     elif args.k is not None:
-        raise ConfigError("k applies to the simple vertex only")
+        raise InvalidParameterError("k applies to the simple vertex only")
     deg = admissible_degree(args.double_type, simple_k)
     print("impossible" if deg is None else str(deg))
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and only read after."""
     parser = argparse.ArgumentParser(
         prog="lbforge",
         description="Exact spectral r-matrices for Lie bialgebra structures "
@@ -349,7 +350,7 @@ def make_parser() -> argparse.ArgumentParser:
     equiv.set_defaults(func=cmd_equiv)
 
     table = sub.add_parser("table", help="admissible degree of 1/a(u)")
-    table.add_argument("double_type", choices=("I", "II", "III"))
+    table.add_argument("double_type", choices=DOUBLE_TYPES)
     table.add_argument("vertex", choices=("minus-alpha-max", "simple"))
     table.add_argument("k", type=int, nargs="?", default=None)
     table.set_defaults(func=cmd_table)
@@ -360,9 +361,6 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

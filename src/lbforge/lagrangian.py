@@ -92,21 +92,22 @@ def _loop_from_tpoly(x: Sparse, p: Sparse) -> Sparse:
 def psi_inverse_lift(alg: LieAlgebraData, spec: CaseSpec, target) -> DoubleElement:
     """Distinguished coset representative of minimal degree in u^{-1}.
 
-    Type I: the p(t) = a + b t with p(c1) = x1 and p(c2) = x2 for two
-    distinct points, with p(c1) = x1 and p'(c1) = x2 for a double one.
+    No point at infinity: the p(t) = a + b t with p(c1) = x1 and p(c2) = x2
+    for two distinct points, with p(c1) = x1 and p'(c1) = x2 for a double
+    one.  Otherwise the finite point, if any, takes x1 as a constant and
+    infinity takes the remaining components as its jets.
     """
     x1, x2 = target
-    dt = spec.double_type
-    if dt == "I":
-        c1, c2 = spec.points
-        b = x2 if c1 == c2 else Fraction(1, c1 - c2) * (x1 - x2)
-        a = x1 - c1 * b
-        return DoubleElement(
-            _loop_from_tpoly(a, poly1([1])) + _loop_from_tpoly(b, poly1({1: 1}))
-        )
-    if dt == "II":
-        return DoubleElement(_loop_from_tpoly(x1, poly1([1])), fin=x2.copy())
-    return DoubleElement(Sparse(), fin=x1.copy(), eps=x2.copy())
+    s = spec.at_infinity
+    if s:
+        loop = _loop_from_tpoly(x1, poly1([1])) if s == 1 else Sparse()
+        return DoubleElement(loop, *(x.copy() for x in target[2 - s:]))
+    c1, c2 = spec.points
+    b = x2 if c1 == c2 else Fraction(1, c1 - c2) * (x1 - x2)
+    a = x1 - c1 * b
+    return DoubleElement(
+        _loop_from_tpoly(a, poly1([1])) + _loop_from_tpoly(b, poly1({1: 1}))
+    )
 
 
 def lift_lagrangian(alg: LieAlgebraData, spec: CaseSpec, wbar: FiniteLagrangian) -> WPresentation:
@@ -177,16 +178,12 @@ def window_basis(alg, w: WPresentation, max_t_degree: int):
 
 
 def de_bracket(alg, spec, x: DoubleElement, y: DoubleElement) -> DoubleElement:
-    """Bracket of the double: componentwise loop bracket plus the finite
-    (or dual-number) bracket."""
-    loop = bracket_poly(alg, x.loop, y.loop)
-    if spec.double_type == "I":
-        return DoubleElement(loop)
-    if spec.double_type == "II":
-        return DoubleElement(loop, fin=bracket(alg, x.fin, y.fin))
-    fin = bracket(alg, x.fin, y.fin)
-    eps = bracket(alg, x.fin, y.eps) + bracket(alg, x.eps, y.fin)
-    return DoubleElement(loop, fin=fin, eps=eps)
+    """Bracket of the double: componentwise loop bracket plus the bracket of
+    the jets, [x1 + eps x2, y1 + eps y2] with eps^2 = 0; jets a type does
+    not carry are zero and bracket to zero."""
+    eps = bracket(alg, x.fin, y.eps)
+    bracket(alg, x.eps, y.fin, eps)
+    return DoubleElement(bracket_poly(alg, x.loop, y.loop), bracket(alg, x.fin, y.fin), eps)
 
 
 def rem(w: WPresentation, el: DoubleElement) -> Sparse:
@@ -301,8 +298,7 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
     for k in range(window + 1):
         for i in range(alg.dim):
             slice_span.add(embed_canonical(w.spec, basis_element(i), k).coords())
-    at_infinity = w.spec.points.count(None)
-    transversal = slice_span.dim == alg.dim * (2 * window + 1 + at_infinity)
+    transversal = slice_span.dim == alg.dim * (2 * window + 1 + w.spec.at_infinity)
     return LagrangianReport(
         witness is None, closure_witness is None, transversal, witness, closure_witness
     )

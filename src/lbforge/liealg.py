@@ -120,8 +120,9 @@ def basis_element(idx) -> Sparse:
     return Sparse({idx: Fraction(1)})
 
 
-def bracket(alg: LieAlgebraData, x: Sparse, y: Sparse) -> Sparse:
-    out = Sparse()
+def bracket(alg: LieAlgebraData, x: Sparse, y: Sparse, out: Sparse = None) -> Sparse:
+    """[x, y], added into ``out`` when given."""
+    out = Sparse() if out is None else out
     for i, ci in x.items():
         for j, cj in y.items():
             sc = alg.struct.get((i, j))
@@ -177,17 +178,19 @@ def swap2(t: Sparse) -> Sparse:
     return Sparse((((j, i), c) for (i, j), c in t.items()))
 
 
-def r_dj(alg: LieAlgebraData) -> Sparse:
-    """Drinfeld-Jimbo solution (1/2)(sum e_alpha ^ f_alpha + Omega)."""
+def wedge_sum(alg: LieAlgebraData) -> Sparse:
+    """sum over positive roots of e_alpha ^ f_alpha."""
     out = Sparse()
     npos = len(alg.positive_roots)
-    half = Fraction(1, 2)
     for a in range(npos):
-        out.iadd((a, npos + a), half)
-        out.iadd((npos + a, a), -half)
-    for key, c in casimir(alg).items():
-        out.iadd(key, half * c)
+        out.iadd((a, npos + a), Fraction(1))
+        out.iadd((npos + a, a), Fraction(-1))
     return out
+
+
+def r_dj(alg: LieAlgebraData) -> Sparse:
+    """Drinfeld-Jimbo solution (1/2)(sum e_alpha ^ f_alpha + Omega)."""
+    return Fraction(1, 2) * (wedge_sum(alg) + casimir(alg))
 
 
 def r_c1c2(alg: LieAlgebraData, c1, c2) -> Sparse:

@@ -4,19 +4,20 @@ pairings of the three double types.
 A ``CaseSpec`` is a double type (I, II, III) plus one of four canonical
 shapes for the series weight a(u): two-points, double-pole, simple-pole
 and constant.  Each of the seven legal families is a pair of points
-(c1, c2) on the projective line, ``CaseSpec.points``, and type I, II, III
-puts 0, 1, 2 of them at infinity.  Every per-family formula is read off
-the two points: a(u) = 1/prod (1 - c u) over the type I points of the
-shape, deg 1/a(u) is the number of those that are nonzero, and the tail
-ideal, quotient, lift, kernel and constant part of r follow in
-``lagrangian`` and ``rmatrix``.
-
-Elements of the double carry a Laurent-loop part and, depending on the
-type, a finite summand and a dual-number summand:
+(c1, c2) on the projective line, ``CaseSpec.points``.  The double type is
+the number s = 0, 1, 2 of those points at infinity (I, II, III,
+``CaseSpec.at_infinity``), and every per-type rule is read off s: deg
+1/a(u) is at most 2 - s, and an element carries a Laurent-loop part plus
+s jets at infinity, fin (jet 0) and eps (jet 1):
 
     type I    g((u))
     type II   g((u)) + g
     type III  g((u)) + (g + eps*g),  eps^2 = 0
+
+Every per-family formula is read off the two points: a(u) = 1/prod (1 - c
+u) over the type I points of the shape, deg 1/a(u) is the number of those
+that are nonzero, and the tail ideal, quotient, lift, kernel and constant
+part of r follow in ``lagrangian`` and ``rmatrix``.
 
 The pairings are
 
@@ -24,13 +25,13 @@ The pairings are
     II   Q(x, y) = Res_{u=0} u^{-1} a(u) K(f1, f2) - K(x1, y1)
     III  Q(x, y) = Res_{u=0} u^{-2} a(u) K(f1, f2) - K(x3, y2) - K(x2, y3)
 
-with K the trace form extended coefficientwise.  With s = 0, 1, 2 for
-types I, II, III and t_m the Taylor coefficients of a(u), cached on the
+with K the trace form extended coefficientwise: jet m pairs with jet
+s - 1 - m.  With t_m the Taylor coefficients of a(u), cached on the
 ``CaseSpec``, the residue is the direct sum of b1 b2 K(x_i, x_j) t_{s-1-k-l}
 over the loop terms b1 x_i u^k of f1 and b2 x_j u^l of f2 with k + l < s.
-The canonical copy of g[u] sits inside the double with finite components
-read off from the value and first derivative at u = 0 (types II and III);
-this is the unique embedding that makes g[u] isotropic.
+The canonical copy of g[u] sits inside the double with jet k of x u^k equal
+to x for k < s (the value and first derivative at u = 0); this is the
+unique embedding that makes g[u] isotropic.
 
 ``pairing_map`` reads the pairing as a sparse linear map: Q(e, y) of one y
 with every coordinate e of the double (``DoubleElement.coords``), from y's
@@ -70,9 +71,6 @@ FAMILY_POINTS = {
     ("III", "constant"): (None, None),
 }
 
-# largest admissible degree of 1/a(u) per double type
-MAX_DEGREE = {"I": 2, "II": 1, "III": 0}
-
 
 @dataclass(frozen=True)
 class CaseSpec:
@@ -80,10 +78,9 @@ class CaseSpec:
     a_form: str
     c1: Fraction = None
     c2: Fraction = None
+    # [(D_t, [t_m * D_t])] for the Taylor coefficients t_m of a(u) cached so
+    # far, D_t their least common denominator; grown geometrically
     _taylor: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # (D_t, [t_m * D_t]) for the cached Taylor coefficients, D_t their
-    # least common denominator; rebuilt whenever _taylor grows
-    _taylor_num: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.double_type not in DOUBLE_TYPES:
@@ -120,6 +117,12 @@ class CaseSpec:
             return f"{self.double_type}:two-points:{self.c1},{self.c2}"
         return f"{self.double_type}:{self.a_form}"
 
+    @property
+    def at_infinity(self) -> int:
+        """s = 0, 1, 2 for types I, II, III: how many of the family's two
+        points are at infinity, and how many jets its elements carry."""
+        return DOUBLE_TYPES.index(self.double_type)
+
     def _points(self, double_type: str) -> tuple:
         if self.a_form == "two-points":
             return (self.c1, self.c2)
@@ -141,23 +144,18 @@ class CaseSpec:
         c1, c2 = self._points("I")
         return RatFun1(poly1([1]), poly1([1, -(c1 + c2), c1 * c2]))
 
-    def taylor(self, order: int) -> list:
-        """Taylor coefficients t_0..t_order (at least) of a(u), kept on the
-        instance and grown geometrically, so a(u) is expanded a few times."""
-        if len(self._taylor) <= order:
-            self._taylor[:] = expand_at_zero(self.a(), max(order, 2 * len(self._taylor)))
-        return self._taylor
-
     def taylor_numerators(self, order: int) -> tuple:
-        """(D_t, nums) with nums[m] / D_t = t_m for m up to order (at
-        least): the cached Taylor coefficients over one common denominator."""
-        taylor = self.taylor(order)
-        if not self._taylor_num or len(self._taylor_num[0][1]) != len(taylor):
+        """(D_t, nums) with nums[m] / D_t = t_m, the Taylor coefficients of
+        a(u), for m up to order (at least).  Kept on the instance and grown
+        geometrically, so a(u) is expanded a few times."""
+        cached = len(self._taylor[0][1]) if self._taylor else 0
+        if cached <= order:
+            taylor = expand_at_zero(self.a(), max(order, 2 * cached))
             den = 1
             for t in taylor:
                 den = lcm(den, t.denominator)
-            self._taylor_num[:] = [(den, [t.numerator * (den // t.denominator) for t in taylor])]
-        return self._taylor_num[0]
+            self._taylor[:] = [(den, [t.numerator * (den // t.denominator) for t in taylor])]
+        return self._taylor[0]
 
 
 def validate_case(spec: CaseSpec):
@@ -165,10 +163,10 @@ def validate_case(spec: CaseSpec):
 
     The rejection quotes the degree bound that rules the combination out:
     deg 1/a(u), the number of nonzero type I points of the shape, is at
-    most 2 for type I, at most 1 for type II, and 0 for type III.
+    most 2 - s, s the number of points at infinity.
     """
     deg = sum(1 for c in spec._points("I") if c)
-    bound = MAX_DEGREE[spec.double_type]
+    bound = 2 - spec.at_infinity
     if deg > bound:
         return (
             f"double type {spec.double_type} admits 1/a(u) of degree at most "
@@ -178,40 +176,31 @@ def validate_case(spec: CaseSpec):
 
 
 def admissible_degree(double_type: str, simple_k=None):
-    """Largest admissible degree of 1/a(u), or None when impossible.
+    """Largest admissible degree of 1/a(u), or None when impossible: 2 - s,
+    s the number of points at infinity, and one less at a simple vertex
+    with k > 1.
 
     ``simple_k`` is None for the lowest-weight vertex of the extended
     Dynkin diagram, otherwise the coefficient k_i of the chosen simple
     root in the highest root.
     """
-    if double_type not in DOUBLE_TYPES:
-        raise InvalidParameterError(f"unknown double type {double_type!r}")
+    s = CaseSpec(double_type, "constant").at_infinity  # checks double_type
     if simple_k is not None and simple_k < 1:
         raise InvalidParameterError("simple-root coefficient must be >= 1")
-    if double_type == "I":
-        return 2 if simple_k is None or simple_k == 1 else 1
-    if double_type == "II":
-        return 1 if simple_k is None or simple_k == 1 else 0
-    if simple_k is None or simple_k == 1:
-        return 0
-    return None  # impossible
+    deg = 2 - s - (simple_k is not None and simple_k > 1)
+    return deg if deg >= 0 else None
 
 
 # -- elements of the double ---------------------------------------------------
 
 @dataclass
 class DoubleElement:
-    """loop: (basis index, degree) -> coeff; fin, eps: basis index -> coeff."""
+    """loop: (basis index, degree) -> coeff; fin, eps: basis index -> coeff,
+    the jets 0 and 1 at the points at infinity."""
 
     loop: Sparse
-    fin: Sparse = None
-    eps: Sparse = None
-
-    def __post_init__(self):
-        if self.fin is None:
-            object.__setattr__(self, "fin", Sparse())
-        if self.eps is None:
-            object.__setattr__(self, "eps", Sparse())
+    fin: Sparse = field(default_factory=Sparse)
+    eps: Sparse = field(default_factory=Sparse)
 
     def __add__(self, other):
         return DoubleElement(
@@ -228,16 +217,18 @@ class DoubleElement:
 
     __rmul__ = __mul__
 
-    def is_zero(self):
-        return self.loop.is_zero() and self.fin.is_zero() and self.eps.is_zero()
+    @property
+    def jets(self) -> tuple:
+        """(fin, eps), the jets 0 and 1."""
+        return self.fin, self.eps
 
     def coords(self) -> Sparse:
-        """Keys (0, i, t-degree), (1, i), (2, i) for the loop, finite and
-        dual-number parts: the natural key order puts the loop first."""
+        """Keys (0, i, t-degree) for the loop and (1 + m, i) for jet m: the
+        natural key order puts the loop first."""
         out = Sparse()
         out.update(((0, i, -d), c) for (i, d), c in self.loop.items())
-        out.update(((1, i), c) for i, c in self.fin.items())
-        out.update(((2, i), c) for i, c in self.eps.items())
+        for m, jet in enumerate(self.jets):
+            out.update(((1 + m, i), c) for i, c in jet.items())
         return out
 
 
@@ -247,22 +238,21 @@ def loop_element(x: Sparse, degree: int = 0) -> DoubleElement:
 
 
 def check_shape(spec: CaseSpec, x: DoubleElement):
-    if spec.double_type == "I" and (x.fin or x.eps):
-        raise ShapeMismatchError("type I elements carry no finite summand")
-    if spec.double_type == "II" and x.eps:
-        raise ShapeMismatchError("type II elements carry no dual-number summand")
+    """An element of a double with s points at infinity carries jets m < s."""
+    for m, jet in enumerate(x.jets):
+        if jet and m >= spec.at_infinity:
+            name = ("finite", "dual-number")[m]
+            raise ShapeMismatchError(f"type {spec.double_type} elements carry no {name} summand")
 
 
 def embed_canonical(spec: CaseSpec, x: Sparse, k: int) -> DoubleElement:
-    """The canonical basis vector x*u^k of g[u] inside the double."""
+    """The canonical basis vector x*u^k of g[u] inside the double: the loop
+    term plus jet k = x when k < s."""
     if k < 0:
         raise InvalidParameterError("canonical degree must be >= 0")
     el = loop_element(x, k)
-    if spec.double_type == "II":
-        el.fin = x.copy() if k == 0 else Sparse()
-    elif spec.double_type == "III":
-        el.fin = x.copy() if k == 0 else Sparse()
-        el.eps = x.copy() if k == 1 else Sparse()
+    if k < spec.at_infinity:
+        el.jets[k].update(x)
     return el
 
 
@@ -282,7 +272,7 @@ def pairing_map(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmin: int
     x with loop degrees in that range, q_form(alg, spec, x, y) is the sum
     of coords(x)[e] * map[e]."""
     check_shape(spec, y)
-    s = DOUBLE_TYPES.index(spec.double_type)
+    s = spec.at_infinity
     gram = alg.gram
     # the loop part in integers: y's loop coefficients are cn / D_y with D_y
     # the lcm of their denominators, each t_m is tnum[m] / D_t, and acc holds
@@ -312,21 +302,20 @@ def pairing_map(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmin: int
     for key, v in acc.items():
         if v:
             out[key] = Fraction(v, scale)
-    # the finite summand pairs with eps in type III, with fin in type II
-    finite = ((1, y.eps), (2, y.fin)) if spec.double_type == "III" else ((1, y.fin),)
-    for tag, part in finite:
-        for j, c in part.items():
+    # the coordinate (1 + m, i) of jet m pairs with y's jet s - 1 - m
+    for m in range(s):
+        for j, c in y.jets[s - 1 - m].items():
             for i, g in enumerate(gram[j]):
                 if g:
-                    out.iadd((tag, i), -c * g)
+                    out.iadd((1 + m, i), -c * g)
     return out
 
 
 def canonical_pairings(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmax: int) -> Sparse:
     """(i, k) -> Q(x_i u^k, y) over the canonical basis with k <= kmax;
     equals q_form(alg, spec, embed_canonical(spec, x_i, k), y).  The
-    canonical x_i u^k is the loop coordinate plus fin = x_i at k = 0 and
-    eps = x_i at k = 1 (types II, III), so the pairing map folds onto it."""
+    canonical x_i u^k is the loop coordinate plus jet k = x_i when k < s,
+    so the pairing map's key (1 + k, i) folds onto it."""
     out = Sparse()
     for key, val in pairing_map(alg, spec, y, 0, kmax).items():
         k = -key[2] if key[0] == 0 else key[0] - 1

@@ -94,12 +94,6 @@ class BivarRat:
         b = mul_vu_pow(other.num, k - other.den_pow)
         return bivar(a + b, k)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return BivarRat(-self.num, self.den_pow)
-
     def __mul__(self, scalar):
         scalar = Fraction(scalar)
         if scalar == 0:

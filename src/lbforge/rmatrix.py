@@ -105,9 +105,6 @@ class SpectralTensor2:
             out.add_entry(key, val)
         return out
 
-    def __sub__(self, other):
-        return self + (-1) * other
-
     def __mul__(self, scalar):
         scalar = Fraction(scalar)
         return SpectralTensor2(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSubstitutionError, InvalidParameterError
-from .liealg import LieAlgebraData, build_sl, r_dj
+from .liealg import LieAlgebraData, build_sl, r_dj, wedge_sum
 from .pairing import CaseSpec
 from .ratfun import poly2, substitute_affine_scalar
 from .rmatrix import (
@@ -25,7 +25,6 @@ from .rmatrix import (
     from_constant,
     kernel_tensor,
 )
-from .sparse import Sparse
 
 
 @dataclass(frozen=True)
@@ -104,16 +103,6 @@ def quasi_twist_verify(
         source = build_r(alg, CaseSpec("I", "two-points", Fraction(c1), Fraction(c2)), rk)
     transformed = scale * substitute_affine_tensor(source, ch)
     return TwistReport(change=ch, scale=scale, equal=(transformed == target))
-
-
-def wedge_sum(alg: LieAlgebraData) -> Sparse:
-    """sum over positive roots of e_alpha ^ f_alpha."""
-    out = Sparse()
-    npos = len(alg.positive_roots)
-    for a in range(npos):
-        out.iadd((a, npos + a), Fraction(1))
-        out.iadd((npos + a, a), Fraction(-1))
-    return out
 
 
 def remark_example_check(alg: LieAlgebraData = None, scale=Fraction(2)) -> bool:

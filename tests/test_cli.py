@@ -1,11 +1,17 @@
+import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lbforge import serialize
+import lbforge
+from lbforge import cli, serialize
 from lbforge.errors import LbforgeError, MalformedInputError
 from lbforge.cli import main
 from lbforge.lagrangian import WPresentation, catalog_w0
@@ -734,6 +740,40 @@ def test_table(capsys):
     assert capsys.readouterr().out.strip() == "impossible"
     assert main(["table", "II", "simple", "3"]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_two_main_calls_build_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["table", "I", "minus-alpha-max"]) == 0
+    assert main(["table", "II", "simple", "3"]) == 0
+    assert capsys.readouterr().out == "2\n0\n"
+    # none when an earlier call in this process built it
+    assert built.count("lbforge") <= 1
+    assert cli.make_parser() is cli.make_parser()
+
+
+def test_module_entry_point(capsys):
+    src = str(Path(lbforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "lbforge.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    ok = run_module("build", "--case", "I:constant")
+    assert main(["build", "--case", "I:constant"]) == 0
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, capsys.readouterr().out, "")
+    bad = run_module("table", "I", "minus-alpha-max", "2")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr == "error: k applies to the simple vertex only\n"
 
 
 def test_bad_algebra():
