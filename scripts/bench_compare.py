@@ -13,6 +13,9 @@ on both sides alike.  The report lists, per workload and end-to-end metric of
 ``BENCHMARK.json``, the median and quartiles of each side, how many pairs
 the change won, the metric's bound and the relative change of the median,
 and, per side, whether every run was ``correct`` and how many jobs failed.
+Beside the medians stand the median of the per-pair ratios change/base and
+the base's interquartile range over its median: a ratio within that spread
+of 1 is a move the base makes against itself, noise rather than a change.
 """
 
 from __future__ import annotations
@@ -74,10 +77,14 @@ def compare(metric, base_runs, change_runs):
         return None
     base, change = summary([b for b, _ in pairs]), summary([c for _, c in pairs])
     wins = sum((c < b) if lower else (c > b) for b, c in pairs)
+    ratios = [c / b for b, c in pairs if b]
     return {
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
         "base": base, "change": change, "change_wins": wins, "pairs": len(pairs),
         "median_change": change["median"] / base["median"] - 1 if base["median"] else None,
+        "median_pair_ratio": statistics.median(ratios) if ratios else None,
+        "base_iqr_over_median":
+            (base["q3"] - base["q1"]) / base["median"] if base["median"] else None,
     }
 
 

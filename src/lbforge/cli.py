@@ -29,7 +29,7 @@ from .rmatrix import (
     skew_spectral_check,
     sum_dual_series,
 )
-from .sparse import Sparse, rational
+from .sparse import Sparse, natural, rational
 from .twist import quasi_twist_verify
 
 EXIT_OK = 0
@@ -59,7 +59,7 @@ def parse_algebra(text: str):
     if len(parts) != 2 or parts[0] != "A":
         raise InvalidParameterError(f"unsupported algebra {text!r}; expected A:n")
     try:
-        n = int(parts[1])
+        n = natural(parts[1])
     except ValueError as exc:
         raise InvalidParameterError(str(exc)) from exc
     cap = env_cap("LBFORGE_MAX_RANK")
@@ -97,7 +97,7 @@ def parse_constant_r(alg, spec, text) -> RKind:
         root = None
         if ":" in text:
             try:
-                i, j = (int(p) for p in text.split(":", 1)[1].split(","))
+                i, j = (natural(p) for p in text.split(":", 1)[1].split(","))
             except ValueError as exc:
                 raise InvalidParameterError(str(exc)) from exc
             root = (i, j)
@@ -114,7 +114,7 @@ def env_cap(name: str):
     if cap is None:
         return None
     try:
-        return int(cap)
+        return natural(cap)
     except ValueError:
         raise InvalidParameterError(f"{name} must be an integer, got {cap!r}") from None
 

@@ -7,8 +7,9 @@ relevant half of the double by the tail is a finite-dimensional Lie
 algebra, either g + g or the dual-number extension g + eps*g; Lagrangian
 subalgebras there lift to Lagrangian complements of g[u].
 
-Quotient images are stored as pairs (x1, x2) of g-elements: (left, right)
-components for the g + g ambient, (value, eps-part) for g + eps*g.
+Quotient generators are pairs (x1, x2) of g-elements, read by the case:
+(left, right) for g + g, (value, eps-part) for g + eps*g.  They carry no
+label and no form: isotropy is checked on their lifts, in the double.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     InvalidParameterError,
     NotTransversalError,
 )
-from .liealg import LieAlgebraData, basis_element, bracket, bracket_poly, form
+from .liealg import LieAlgebraData, basis_element, bracket, bracket_poly
 from .pairing import CaseSpec, DoubleElement, canonical_pairings, embed_canonical, pairing_map
 from .ratfun import poly1
 from .sparse import RowSpan, Sparse, poly_mul
@@ -43,31 +44,11 @@ class WPresentation:
         return max(self.tail)
 
 
-@dataclass
-class FiniteLagrangian:
-    """Subalgebra of g+g ("gxg") or g+eps*g ("geps") given by generators."""
-
-    ambient: str
-    gens: list  # list of (Sparse, Sparse) pairs
-
-    def __post_init__(self):
-        if self.ambient not in ("gxg", "geps"):
-            raise InvalidParameterError(f"unknown ambient {self.ambient!r}")
-
-
 def quotient_ambient(spec: CaseSpec) -> str:
     """Which finite quotient a case uses: g + g for two distinct points,
     g + eps*g for a double one."""
     c1, c2 = spec.points
     return "gxg" if c1 != c2 else "geps"
-
-
-def quot_form(alg, ambient, a, b) -> Fraction:
-    x1, x2 = a
-    y1, y2 = b
-    if ambient == "gxg":
-        return form(alg, x1, y1) - form(alg, x2, y2)
-    return form(alg, x1, y2) + form(alg, x2, y1)
 
 
 def tail_poly(spec: CaseSpec) -> Sparse:
@@ -110,26 +91,38 @@ def psi_inverse_lift(alg: LieAlgebraData, spec: CaseSpec, target) -> DoubleEleme
     )
 
 
-def lift_lagrangian(alg: LieAlgebraData, spec: CaseSpec, wbar: FiniteLagrangian) -> WPresentation:
-    """Lift a finite Lagrangian complement to a presentation of W."""
-    if wbar.ambient != quotient_ambient(spec):
-        raise InvalidParameterError(
-            f"case {spec.text} uses the {quotient_ambient(spec)} quotient"
-        )
-    if len(wbar.gens) != alg.dim:
-        raise InvalidParameterError(
-            f"a Lagrangian complement has dimension {alg.dim}, got {len(wbar.gens)}"
-        )
-    for a in wbar.gens:
-        for b in wbar.gens:
-            if quot_form(alg, wbar.ambient, a, b) != 0:
-                raise InvalidParameterError("generators are not isotropic")
-    head = [psi_inverse_lift(alg, spec, g) for g in wbar.gens]
-    return WPresentation(spec=spec, head=head, tail=tail_poly(spec))
+def isotropy_witness(alg: LieAlgebraData, spec: CaseSpec, elements: list):
+    """((a, b), value) for the first a, then b >= a, whose coords(elements[a])
+    dotted with the pairing map of elements[b] is nonzero; None if none is."""
+    degrees = [d for el in elements for (_, d) in el.loop] or [0]
+    maps = [pairing_map(alg, spec, el, min(degrees), max(degrees)) for el in elements]
+    for a, el in enumerate(elements):
+        ca = el.coords()
+        for b in range(a, len(elements)):
+            mb = maps[b]
+            val = sum(c * mb[e] for e, c in ca.items() if e in mb)
+            if val != 0:
+                return (a, b), val
+    return None
 
 
-def triangular_complement(alg: LieAlgebraData) -> FiniteLagrangian:
-    """span of (f_alpha, 0), (0, e_alpha), (H_i, -H_i) in g + g."""
+def lift_lagrangian(alg: LieAlgebraData, spec: CaseSpec, gens: list) -> WPresentation:
+    """Lift the generators (x1, x2) of a finite Lagrangian complement to a
+    presentation of W.  On lifts the double's pairing is a nonzero multiple
+    of the quotient's form, so isotropy is checked on the lifts."""
+    if len(gens) != alg.dim:
+        raise InvalidParameterError(
+            f"a Lagrangian complement has dimension {alg.dim}, got {len(gens)}"
+        )
+    tail = tail_poly(spec)
+    head = [psi_inverse_lift(alg, spec, g) for g in gens]
+    if isotropy_witness(alg, spec, head) is not None:
+        raise InvalidParameterError("generators are not isotropic")
+    return WPresentation(spec=spec, head=head, tail=tail)
+
+
+def triangular_complement(alg: LieAlgebraData) -> list:
+    """(f_alpha, 0), (0, e_alpha), (H_i, -H_i): a complement in g + g."""
     gens = []
     npos = len(alg.positive_roots)
     for a in range(npos):
@@ -139,24 +132,22 @@ def triangular_complement(alg: LieAlgebraData) -> FiniteLagrangian:
     for i in range(1, alg.rank + 1):
         h = basis_element(alg.h_index(i))
         gens.append((h, -h))
-    return FiniteLagrangian("gxg", gens)
+    return gens
 
 
-def eps_complement(alg: LieAlgebraData) -> FiniteLagrangian:
-    """eps * g inside g + eps*g."""
-    return FiniteLagrangian(
-        "geps", [(Sparse(), basis_element(i)) for i in range(alg.dim)]
-    )
+def eps_complement(alg: LieAlgebraData) -> list:
+    """(0, x_i): eps * g inside g + eps*g."""
+    return [(Sparse(), basis_element(i)) for i in range(alg.dim)]
 
 
 def catalog_w0(alg: LieAlgebraData, spec: CaseSpec) -> WPresentation:
     """The shipped complement for a case: triangular for g+g quotients,
     eps*g for dual-number quotients."""
     if quotient_ambient(spec) == "gxg":
-        wbar = triangular_complement(alg)
+        gens = triangular_complement(alg)
     else:
-        wbar = eps_complement(alg)
-    return lift_lagrangian(alg, spec, wbar)
+        gens = eps_complement(alg)
+    return lift_lagrangian(alg, spec, gens)
 
 
 # -- windowed checks ----------------------------------------------------------
@@ -243,10 +234,8 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
     """Isotropy, bracket closure, and transversality on a degree window.
 
     The window must cover the head generators and one tail step, else the
-    test is inconclusive.  Each window element's coordinates are formed
-    once.  Isotropy dots coords(basis[a]) with the pairing map of basis[b]
-    over the window's loop degrees, for a, then b >= a; the witness is the
-    first nonzero pair and its value.
+    test is inconclusive.  Isotropy is ``isotropy_witness`` over the window
+    elements: the witness is the first nonzero pair and its value.
 
     Closure works modulo the tail ideal: W is the span of the heads plus
     m(t) g[t], so a bracket lies in W exactly when its remainder (``rem``)
@@ -267,19 +256,7 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
             f"and tail of degree {w.tail_degree()}"
         )
     basis = window_basis(alg, w, window)
-    coords = [el.coords() for el in basis]
-    degrees = [d for el in basis for (_, d) in el.loop] or [0]
-    maps = [pairing_map(alg, w.spec, el, min(degrees), max(degrees)) for el in basis]
-    witness = None
-    for a, ca in enumerate(coords):
-        for b in range(a, len(basis)):
-            mb = maps[b]
-            val = sum(c * mb[e] for e, c in ca.items() if e in mb)
-            if val != 0:
-                witness = ((a, b), val)
-                break
-        if witness:
-            break
+    witness = isotropy_witness(alg, w.spec, basis)
 
     # closure modulo the tail ideal: remainders against the heads' remainders
     span = RowSpan()
@@ -293,8 +270,8 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
 
     # transversality: W-window plus canonical window spans the slice
     slice_span = RowSpan()
-    for row in coords:
-        slice_span.add(row)
+    for el in basis:
+        slice_span.add(el.coords())
     for k in range(window + 1):
         for i in range(alg.dim):
             slice_span.add(embed_canonical(w.spec, basis_element(i), k).coords())

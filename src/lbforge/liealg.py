@@ -47,6 +47,13 @@ class LieAlgebraData:
         return 2 * len(self.positive_roots) + (i - 1)
 
 
+def sl_labels(n: int):
+    """The basis labels of sl_n in basis order, one at a time."""
+    for name in "EF":
+        yield from (f"{name}({i},{j})" for i in range(1, n) for j in range(i + 1, n + 1))
+    yield from (f"H({i})" for i in range(1, n))
+
+
 def build_sl(n: int) -> LieAlgebraData:
     """sl_n with the trace form; raises on n < 2.
 
@@ -60,11 +67,6 @@ def build_sl(n: int) -> LieAlgebraData:
         raise InvalidRankError(f"sl_n needs n >= 2, got {n}")
     roots = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
     npos = len(roots)
-    labels = (
-        [f"E({i},{j})" for (i, j) in roots]
-        + [f"F({i},{j})" for (i, j) in roots]
-        + [f"H({i})" for i in range(1, n)]
-    )
     units = (
         [((i, j, 1),) for (i, j) in roots]
         + [((j, i, 1),) for (i, j) in roots]
@@ -107,7 +109,7 @@ def build_sl(n: int) -> LieAlgebraData:
         n=n,
         rank=n - 1,
         positive_roots=roots,
-        basis=labels,
+        basis=list(sl_labels(n)),
         struct=struct,
         gram=gram,
         gram_inv=gram_inv,

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .errors import MalformedInputError
-from .liealg import LieAlgebraData, build_sl
+from .liealg import LieAlgebraData, build_sl, sl_labels
 from .pairing import DoubleElement
 from .ratfun import bivar
 from .rmatrix import SpectralTensor2
@@ -50,9 +50,10 @@ def algebra_doc(alg: LieAlgebraData) -> dict:
     return {"type": "A", "rank": alg.n}
 
 
-def algebra_from_doc(doc, max_rank=None) -> LieAlgebraData:
-    """sl_n from {"type": "A", "rank": n}; a rank below 2 or above
-    ``max_rank`` (the LBFORGE_MAX_RANK cap) is malformed."""
+def algebra_from_doc(doc, basis, max_rank=None) -> LieAlgebraData:
+    """sl_n from {"type": "A", "rank": n} and the file's basis labels; a rank
+    below 2 or above ``max_rank`` (the LBFORGE_MAX_RANK cap) is malformed,
+    and so are labels other than sl_n's, compared before sl_n is built."""
     try:
         if doc["type"] != "A":
             raise MalformedInputError(f"unsupported algebra type {doc['type']!r}")
@@ -63,6 +64,9 @@ def algebra_from_doc(doc, max_rank=None) -> LieAlgebraData:
         raise MalformedInputError(f"rank must be >= 2, got {rank}")
     if max_rank is not None and rank > max_rank:
         raise MalformedInputError(f"rank {rank} exceeds LBFORGE_MAX_RANK={max_rank}")
+    basis = list(basis)
+    if len(basis) != rank * rank - 1 or basis != list(sl_labels(rank)):
+        raise MalformedInputError("basis labels do not match the algebra")
     return build_sl(rank)
 
 
@@ -94,9 +98,7 @@ def tensor_from_doc(doc, max_rank=None, max_degree=None):
     built: both bound the work of the (v - u) arithmetic.
     """
     try:
-        alg = algebra_from_doc(doc["algebra"], max_rank)
-        if list(doc["basis"]) != list(alg.basis):
-            raise MalformedInputError("basis labels do not match the algebra")
+        alg = algebra_from_doc(doc["algebra"], doc["basis"], max_rank)
         index = {label: k for k, label in enumerate(alg.basis)}
         r = SpectralTensor2()
         for entry in doc["entries"]:

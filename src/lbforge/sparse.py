@@ -13,7 +13,8 @@ system.  ``gauss_solve`` feeds it the augmented rows of a dense system; no
 library code calls it, and the tests use it as their reference dense solver.
 
 ``rational`` is the one reader of rational text, shared by the tensor files,
-the case text and the command line.
+the case text and the command line; ``natural`` is its counterpart for the
+non-negative integers of the command line and the environment.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fractions import Fraction
 
 # decimal-free rational text: no exponent, point, underscore or whitespace
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_NATURAL = re.compile(r"[0-9]+")
 
 
 def rational(text: str) -> Fraction:
@@ -32,6 +34,14 @@ def rational(text: str) -> Fraction:
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a decimal-free rational: {text!r}")
     return Fraction(text)
+
+
+def natural(text: str) -> int:
+    """The int written in ASCII digits alone; ValueError for any other text
+    (a sign, underscore, space or non-ASCII digit)."""
+    if not _NATURAL.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 class Sparse(dict):

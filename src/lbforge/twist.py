@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateSubstitutionError, InvalidParameterError
+from .errors import DegenerateSubstitutionError
 from .liealg import LieAlgebraData, build_sl, r_dj, wedge_sum
 from .pairing import CaseSpec
 from .ratfun import poly2, substitute_affine_scalar
@@ -37,13 +37,6 @@ class AffineChange:
             raise DegenerateSubstitutionError("affine change needs p != 0")
 
 
-def _check_admissible(c1, c2, d1, d2):
-    if c1 == c2 or d1 == d2:
-        raise InvalidParameterError("constants within a pair must differ")
-    if 0 in (c1, c2, d1, d2):
-        raise InvalidParameterError("constants must be nonzero")
-
-
 def solve_pq(c1, c2, d1, d2) -> AffineChange:
     """The unique affine change carrying the (c1, c2) family to (d1, d2).
 
@@ -51,7 +44,8 @@ def solve_pq(c1, c2, d1, d2) -> AffineChange:
     validated by exact back-substitution.
     """
     c1, c2, d1, d2 = (Fraction(x) for x in (c1, c2, d1, d2))
-    _check_admissible(c1, c2, d1, d2)
+    for pair in ((c1, c2), (d1, d2)):
+        CaseSpec("I", "two-points", *pair)  # nonzero and distinct
     x = (Fraction(1, 1) / d1 - Fraction(1, 1) / d2) / (
         Fraction(1, 1) / c1 - Fraction(1, 1) / c2
     )

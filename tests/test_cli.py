@@ -256,6 +256,40 @@ def test_bad_max_rank_env_is_config_error(tmp_path, monkeypatch, capsys):
     assert "LBFORGE_MAX_RANK must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value", ["2_0", " 2", "\u0662", "+2"],
+    ids=["underscore", "space", "non-ascii digit", "sign"],
+)
+@pytest.mark.parametrize(
+    "where", ["--algebra", "--r", "LBFORGE_MAX_RANK", "LBFORGE_MAX_DEGREE"]
+)
+def test_non_canonical_integer_is_config_error(monkeypatch, capsys, where, value):
+    # int() reads each of these values; an integer is written in ASCII digits only
+    argv = {
+        "--algebra": ["build", "--algebra", f"A:{value}", "--case", "I:constant"],
+        "--r": ["build", "--case", "I:constant", "--r", f"jordanian:1,{value}"],
+    }.get(where, ["dualbasis", "--case", "I:constant", "--degree", "1"])
+    if where.startswith("LBFORGE_"):
+        monkeypatch.setenv(where, value)
+    assert main(argv) == 2
+    assert repr(value) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rank", [3, 10**400], ids=["3", "10**400"])
+def test_file_basis_is_compared_before_the_algebra_is_built(tmp_path, monkeypatch, capsys, rank):
+    # an sl_2 basis under another rank; with no LBFORGE_MAX_RANK, only the
+    # comparison of labels keeps a huge rank from being built
+    path = _with_rank(tmp_path, rank)
+    monkeypatch.delenv("LBFORGE_MAX_RANK", raising=False)
+
+    def refuse(n):
+        raise AssertionError(f"build_sl({n}) called")
+
+    monkeypatch.setattr(serialize, "build_sl", refuse)
+    assert main(["verify", "--in", str(path)]) == 3
+    assert "basis labels do not match the algebra" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("degree", [0.5, True, "1"])
 def test_non_integer_presentation_degrees_are_malformed(degree):
     w = catalog_w0(ALG, CaseSpec.parse("I:simple-pole"))
@@ -729,8 +763,10 @@ def test_equiv_identity(capsys):
     assert "p=1" in out and "q=0" in out and "C=1" in out
 
 
-def test_equiv_degenerate():
-    assert main(["equiv", "1", "1", "3", "5"]) == 2
+def test_equiv_degenerate(capsys):
+    for quad in (["1", "1", "3", "5"], ["0", "2", "1", "2"]):
+        assert main(["equiv", *quad]) == 2
+        assert "two-points constants must be nonzero and distinct" in capsys.readouterr().err
 
 
 def test_table(capsys):

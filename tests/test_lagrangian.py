@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,8 @@ from lbforge.errors import (
     NotTransversalError,
     ShapeMismatchError,
 )
-from lbforge.liealg import basis_element, bracket, build_sl
+from lbforge.liealg import basis_element, bracket, build_sl, form
 from lbforge.lagrangian import (
-    FiniteLagrangian,
     WPresentation,
     catalog_w0,
     de_bracket,
@@ -49,6 +49,16 @@ def tp(c1=1, c2=2):
 
 
 # -- psi ----------------------------------------------------------------------
+
+def quot_form(alg, ambient, a, b):
+    """The quotient's invariant form: K(x1, y1) - K(x2, y2) on g + g, and
+    K(x1, y2) + K(x2, y1) on g + eps*g."""
+    x1, x2 = a
+    y1, y2 = b
+    if ambient == "gxg":
+        return form(alg, x1, y1) - form(alg, x2, y2)
+    return form(alg, x1, y2) + form(alg, x2, y1)
+
 
 def quot_bracket(alg, ambient, a, b):
     x1, x2 = a
@@ -224,28 +234,67 @@ def test_psi_inverse_is_section(text):
         assert psi(ALG, spec, lift) == target
 
 
+# Q(psi^-1 a, psi^-1 b) = kappa * B(a, b) on the lifts, B the quotient form:
+# kappa = 1/(c1 - c2) for two distinct finite points, else +-1
+KAPPAS = [
+    ("I:two-points:1,2", -1),
+    ("I:two-points:3/4,-8/3", Fraction(12, 41)),
+    ("I:double-pole", 1),
+    ("I:simple-pole", -1),
+    ("I:constant", 1),
+    ("II:simple-pole", 1),
+    ("II:constant", 1),
+    ("III:constant", -1),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("text, kappa", KAPPAS)
+def test_lift_pairing_is_multiple_of_quotient_form(text, kappa, n):
+    # the identity that lets lift_lagrangian check isotropy on the lifts
+    alg = build_sl(n)
+    spec = CaseSpec.parse(text)
+    ambient = quotient_ambient(spec)
+    rng = random.Random(n)
+
+    def pair():
+        return tuple(
+            Sparse({i: rng.randint(-3, 3) for i in range(alg.dim)}) for _ in range(2)
+        )
+
+    forms = []
+    for _ in range(20):
+        a, b = pair(), pair()
+        lift_a, lift_b = (psi_inverse_lift(alg, spec, x) for x in (a, b))
+        forms.append(quot_form(alg, ambient, a, b))
+        assert q_form(alg, spec, lift_a, lift_b) == kappa * forms[-1]
+    assert any(forms)
+
+
 def test_lift_lagrangian_validates():
     spec = tp()
-    bad = FiniteLagrangian("gxg", [(E, Sparse()), (F, Sparse()), (H, Sparse())])
-    with pytest.raises(InvalidParameterError):
-        lift_lagrangian(ALG, spec, bad)  # not isotropic
-    with pytest.raises(InvalidParameterError):
-        lift_lagrangian(ALG, spec, FiniteLagrangian("gxg", [(E, Sparse())]))
-    with pytest.raises(InvalidParameterError):
-        lift_lagrangian(ALG, spec, eps_complement(ALG))  # wrong ambient
+    for gens in ([(E, Sparse()), (F, Sparse()), (H, Sparse())],
+                 [(H, Sparse()), (E, Sparse()), (E, Sparse())]):  # (H, 0) with itself
+        with pytest.raises(InvalidParameterError, match="not isotropic"):
+            lift_lagrangian(ALG, spec, gens)
+    with pytest.raises(InvalidParameterError, match="has dimension 3, got 1"):
+        lift_lagrangian(ALG, spec, [(E, Sparse())])
+    # eps*g read in the g + g quotient: (0, x) pairs to -K(x, y)
+    with pytest.raises(InvalidParameterError, match="not isotropic"):
+        lift_lagrangian(ALG, spec, eps_complement(ALG))
 
 
 def test_lift_projects_back():
     # lifting then projecting returns the generators
     for text in ALL_CASES:
         spec = CaseSpec.parse(text)
-        wbar = (
+        gens = (
             triangular_complement(ALG)
             if quotient_ambient(spec) == "gxg"
             else eps_complement(ALG)
         )
-        w = lift_lagrangian(ALG, spec, wbar)
-        for gen, target in zip(w.head, wbar.gens):
+        w = lift_lagrangian(ALG, spec, gens)
+        for gen, target in zip(w.head, gens):
             assert psi(ALG, spec, gen) == target
 
 

@@ -15,6 +15,7 @@ def _load(name):
 
 
 axiom_sweep_script = _load("axiom_sweep")
+bench_compare_script = _load("bench_compare")
 
 
 @pytest.mark.parametrize(
@@ -43,3 +44,21 @@ def test_axiom_sweep_reports_milliseconds(tmp_path, capsys):
     assert all(line.endswith(" ms)") for line in lines[:-1])
     records = json.loads(out.read_text())
     assert records and all(rec["pass"] for rec in records)
+
+
+def test_bench_compare_reports_pair_ratios_and_base_spread():
+    def runs(values):
+        return [{"metrics": {} if v is None else {"wall_s": {"value": v}}} for v in values]
+
+    metric = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+    # the last pair lacks the metric on the change side and is left out
+    base = runs([1.0, 2.0, 3.0, 4.0, 5.0, 9.0])
+    change = runs([0.5, 2.2, 3.3, 4.0, 6.0, None])
+    m = bench_compare_script.compare(metric, base, change)
+    assert m["pairs"] == 5 and m["change_wins"] == 1
+    assert (m["base"]["q1"], m["base"]["median"], m["base"]["q3"]) == (2.0, 3.0, 4.0)
+    assert m["median_change"] == pytest.approx(0.1)
+    # ratios 0.5, 1.1, 1.1, 1.0, 1.2; quartile distance 2 over median 3
+    assert m["median_pair_ratio"] == pytest.approx(1.1)
+    assert m["base_iqr_over_median"] == pytest.approx(2 / 3)
+    assert bench_compare_script.compare(metric, base, runs([None] * 6)) is None
