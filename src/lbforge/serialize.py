@@ -65,6 +65,7 @@ def algebra_from_doc(doc, basis, max_rank=None) -> LieAlgebraData:
     if max_rank is not None and rank > max_rank:
         raise MalformedInputError(f"rank {rank} exceeds LBFORGE_MAX_RANK={max_rank}")
     basis = list(basis)
+    # the length first, so the labels of a huge rank are never listed
     if len(basis) != rank * rank - 1 or basis != list(sl_labels(rank)):
         raise MalformedInputError("basis labels do not match the algebra")
     return build_sl(rank)
