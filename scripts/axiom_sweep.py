@@ -5,7 +5,9 @@ Writes a JSON list of {"family", "element", "check", "pass"} records and
 prints a per-family summary with its time in milliseconds.  Degree caps
 are flag-controlled; defaults match the acceptance suite (4 on sl_2, 2 on
 sl_3).  Exits 0 when every record passes, 1 when one fails, and 2 with an
-``error:`` line on an invalid rank or degree.
+``error:`` line on an invalid rank or degree: the flags are integers in
+ASCII digits after at most one '-', and a negative degree is rejected by
+the sweep itself.
 """
 
 import argparse
@@ -14,19 +16,20 @@ import sys
 import time
 
 from lbforge.cobracket import axiom_sweep
-from lbforge.errors import LbforgeError
+from lbforge.errors import InvalidParameterError, LbforgeError
 from lbforge.liealg import build_sl
 from lbforge.pairing import FAMILY_POINTS, CaseSpec
 from lbforge.rmatrix import build_r, catalog_rkind
+from lbforge.sparse import natural
 
 FAMILIES = ["I:two-points:1,2", *(f"{dt}:{form}" for dt, form in FAMILY_POINTS)]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--algebra", type=int, default=2, help="n of sl_n")
-    parser.add_argument("--degree", type=int, default=None, help="sweep degree cap")
-    parser.add_argument("--cocycle-degree", type=int, default=2)
+    parser.add_argument("--algebra", default="2", help="n of sl_n")
+    parser.add_argument("--degree", default=None, help="sweep degree cap")
+    parser.add_argument("--cocycle-degree", default="2")
     parser.add_argument("--out", default="axiom_sweep.json")
     args = parser.parse_args(argv)
     try:
@@ -40,15 +43,25 @@ def main(argv=None):
     return 0 if all(rec["pass"] for rec in records) else 1
 
 
+def integer(text, flag):
+    """The value ``text`` of ``flag``: ASCII digits after at most one '-'."""
+    try:
+        return -natural(text[1:]) if text[:1] == "-" else natural(text)
+    except ValueError as exc:
+        raise InvalidParameterError(f"{flag}: {exc}") from None
+
+
 def sweep_all(args):
-    alg = build_sl(args.algebra)
-    cap = args.degree if args.degree is not None else (4 if args.algebra == 2 else 2)
+    n = integer(args.algebra, "--algebra")
+    alg = build_sl(n)
+    cap = integer(args.degree, "--degree") if args.degree is not None else (4 if n == 2 else 2)
+    cocycle_degree = integer(args.cocycle_degree, "--cocycle-degree")
     records = []
     for text in FAMILIES:
         spec = CaseSpec.parse(text)
         r = build_r(alg, spec, catalog_rkind(alg, spec))
         start = time.perf_counter()
-        recs = axiom_sweep(alg, text, r, cap, cocycle_degree=args.cocycle_degree)
+        recs = axiom_sweep(alg, text, r, cap, cocycle_degree=cocycle_degree)
         ms = (time.perf_counter() - start) * 1000
         records.extend(recs)
         failed = sum(1 for rec in recs if not rec["pass"])

@@ -54,14 +54,19 @@ def parse_checks(text: str) -> list:
     return checks
 
 
+def parse_natural(text: str, name: str) -> int:
+    """The integer ``text`` given for ``name``, written in ASCII digits alone."""
+    try:
+        return natural(text)
+    except ValueError as exc:
+        raise InvalidParameterError(f"{name}: {exc}") from None
+
+
 def parse_algebra(text: str):
     parts = text.split(":")
     if len(parts) != 2 or parts[0] != "A":
         raise InvalidParameterError(f"unsupported algebra {text!r}; expected A:n")
-    try:
-        n = natural(parts[1])
-    except ValueError as exc:
-        raise InvalidParameterError(str(exc)) from exc
+    n = parse_natural(parts[1], "--algebra")
     cap = env_cap("LBFORGE_MAX_RANK")
     if cap is not None and n > cap:
         raise InvalidParameterError(f"rank {n} exceeds LBFORGE_MAX_RANK={cap}")
@@ -231,6 +236,8 @@ _CHECKS = {
 
 
 def cmd_verify(args) -> int:
+    args.degree = parse_natural(args.degree, "--degree")
+    args.sweep_degree = parse_natural(args.sweep_degree, "--sweep-degree")
     doc = serialize.load(args.infile)
     # the tensor file owns the algebra
     alg, r = serialize.tensor_from_doc(
@@ -259,7 +266,7 @@ def cmd_verify(args) -> int:
 def cmd_dualbasis(args) -> int:
     alg = parse_algebra(args.algebra)
     spec = parse_case(args.case)
-    n = check_degree(args.degree)
+    n = check_degree(parse_natural(args.degree, "--degree"))
     w = catalog_w0(alg, spec)
     report = is_lagrangian(alg, w, max(n, 6))
     if not report.ok:
@@ -303,7 +310,7 @@ def cmd_equiv(args) -> int:
 def cmd_table(args) -> int:
     simple_k = None
     if args.vertex == "simple":
-        simple_k = args.k if args.k is not None else 1
+        simple_k = parse_natural(args.k, "k") if args.k is not None else 1
     elif args.k is not None:
         raise InvalidParameterError("k applies to the simple vertex only")
     deg = admissible_degree(args.double_type, simple_k)
@@ -332,15 +339,15 @@ def make_parser() -> argparse.ArgumentParser:
     verify.add_argument("--in", dest="infile", required=True)
     verify.add_argument("--case", default=None)
     verify.add_argument("--checks", default="cybe,skew")
-    verify.add_argument("--degree", type=int, default=6)
-    verify.add_argument("--sweep-degree", type=int, default=2)
+    verify.add_argument("--degree", default="6")
+    verify.add_argument("--sweep-degree", default="2")
     verify.add_argument("--out", default=None)
     verify.set_defaults(func=cmd_verify)
 
     dualb = sub.add_parser("dualbasis", help="emit the catalog dual basis")
     dualb.add_argument("--algebra", default="A:2")
     dualb.add_argument("--case", required=True)
-    dualb.add_argument("--degree", type=int, default=6)
+    dualb.add_argument("--degree", default="6")
     dualb.add_argument("--out", default=None)
     dualb.set_defaults(func=cmd_dualbasis)
 
@@ -352,7 +359,7 @@ def make_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="admissible degree of 1/a(u)")
     table.add_argument("double_type", choices=DOUBLE_TYPES)
     table.add_argument("vertex", choices=("minus-alpha-max", "simple"))
-    table.add_argument("k", type=int, nargs="?", default=None)
+    table.add_argument("k", nargs="?", default=None)
     table.set_defaults(func=cmd_table)
     return parser
 

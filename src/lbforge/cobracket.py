@@ -6,7 +6,8 @@ delta lands in g (x) g [u, v], a flat tensor keyed (i, j, deg_u, deg_v):
 the commutator with the Casimir kernel picks up a factor divisible by
 (v - u), and the division is performed exactly (failure raises
 NotPolynomialError).  Co-Jacobi is tested in g (x) g (x) g [u, v, w], keyed
-(i, j, k, a, b, c); the cyclic rotation moves legs and exponents together.
+(i, j, k, a, b, c), by orbit sums of the cyclic rotation, which moves legs
+and exponents together.
 
 The ad-action, the division and the checks accumulate in plain dicts, so one
 code path serves the direct ``delta`` on ``lift(r)`` (Fractions) and a sweep,
@@ -14,7 +15,7 @@ whose ``BasisCobrackets`` scales the lift by the lcm L of its denominators:
 sl_n structure constants are integers and (v - u) is monic, so every sweep
 value is an int.  delta is linear in r and the checks are homogeneous in it
 (degree 1: polynomiality, skew, cocycle; degree 2: co-Jacobi), so L changes
-no verdict.
+no verdict.  A sweep forms one ad table, the rows of [x, b_i], per basis x.
 """
 
 from __future__ import annotations
@@ -40,19 +41,19 @@ def lift(r: SpectralTensor2):
                        for mono, c in mul_vu_pow(val.num, top - val.den_pow).items())
 
 
-def delta(alg: LieAlgebraData, r: SpectralTensor2, f, lifted=None):
+def delta(alg: LieAlgebraData, r: SpectralTensor2, f, lifted=None, ad=None):
     """The cobracket value on f, a flat 2-tensor keyed (i, j, deg_u, deg_v).
 
     r is put over one (v - u)^top (``lifted`` is ``lift(r)``, or a multiple
-    of it, if given), the ad-action of f is applied to the numerators, and
-    the result, of the numerators' type, is certified polynomial by exact
-    division by (v - u), top times.
+    of it, if given), the ad-action of f (rows ``ad`` as in ``_ad_into``) is
+    applied to the numerators, and the result, of the numerators' type, is
+    certified polynomial by exact division by (v - u), top times.
     """
     if any(d < 0 for (_, d) in f):
         raise InvalidParameterError("f must be polynomial in u")
     top, nums = lift(r) if lifted is None else lifted
     out = {}
-    _ad_into(alg, out, f, nums, 1)
+    _ad_into(alg, out, f, nums, 1, ad)
     out = type(nums)((k, c) for k, c in out.items() if c)
     for _ in range(top):
         out, rem = poly2_divide_vu(out)
@@ -72,7 +73,8 @@ class BasisCobrackets:
     check that takes its cobrackets from here gives r's verdict.  A basis
     cobracket that is not polynomial is stored as None, once, and every
     delta that needs it is None too.  The returned tensors may be the
-    stored ones: callers must not mutate them.
+    stored ones: callers must not mutate them.  ``ad`` is the table of
+    ``_ad_rows`` for every basis index, formed once per instance.
     """
 
     def __init__(self, alg: LieAlgebraData, r: SpectralTensor2):
@@ -81,12 +83,13 @@ class BasisCobrackets:
         top, nums = lift(r)
         self.scale = lcm(*(c.denominator for c in nums.values()))
         self._lifted = top, {k: (c * self.scale).numerator for k, c in nums.items()}
+        self.ad = [_ad_rows(alg, x) for x in range(alg.dim)]
         self._memo = {}
 
     def basis(self, key):
         if key not in self._memo:
             try:
-                self._memo[key] = delta(self.alg, self.r, {key: 1}, lifted=self._lifted)
+                self._memo[key] = delta(self.alg, self.r, {key: 1}, lifted=self._lifted, ad=self.ad)
             except NotPolynomialError:
                 self._memo[key] = None
         return self._memo[key]
@@ -137,20 +140,25 @@ def check_skew(alg, r, f, cobracket=None) -> bool:
     return not any(total.values())
 
 
-def _ad_into(alg, out: dict, f, t, sign: int) -> None:
-    """Add sign * [f(u) (x) 1 + 1 (x) f(v), t] to the dict out (zeros stay)."""
+def _ad_rows(alg, x):
+    """[x, b_i] as a list of (m, int c) for every basis index i (sl_n's are integral)."""
+    return [[(m, _exact(c)) for m, c in bracket_basis(alg, x, i).items()] for i in range(alg.dim)]
+
+
+def _ad_into(alg, out: dict, f, t, sign: int, ad=None) -> None:
+    """Add sign * [f(u) (x) 1 + 1 (x) f(v), t] to the dict out (zeros stay),
+    with the rows ``ad[x]`` of ``_ad_rows``, formed per term of f if not given."""
     if not t:
         return
     for (x, d), cf in f.items():
         cf = sign * cf
-        # ad[i]: [x, b_i] scaled by sign * cf, formed once per term of f
-        ad = [[(m, cf * _exact(cm)) for m, cm in bracket_basis(alg, x, i).items()]
-              for i in range(alg.dim)]
+        rows = _ad_rows(alg, x) if ad is None else ad[x]
         for (i, j, a, b), c in t.items():
-            for m, s in ad[i]:
+            c = cf * c
+            for m, s in rows[i]:
                 k = (m, j, a + d, b)
                 out[k] = out.get(k, 0) + s * c
-            for m, s in ad[j]:
+            for m, s in rows[j]:
                 k = (i, m, a, b + d)
                 out[k] = out.get(k, 0) + s * c
 
@@ -169,8 +177,9 @@ def check_cocycle(alg, r, f, g, cobracket=None, both_orders=False):
     if df is None or dg is None:
         return (False, False) if both_orders else False
     rhs = {}
-    _ad_into(alg, rhs, f, dg, 1)
-    _ad_into(alg, rhs, g, df, -1)
+    ad = getattr(cobracket, "ad", None)
+    _ad_into(alg, rhs, f, dg, 1, ad)
+    _ad_into(alg, rhs, g, df, -1, ad)
     rhs = {k: c for k, c in rhs.items() if c}
     lhs = cobracket(bracket_poly(alg, f, g))
     ok = lhs is not None and lhs == rhs
@@ -200,12 +209,10 @@ def check_cojacobi(alg, r, f, cobracket=None) -> bool:
         for (m, l, a2, b2), cc in inner.items():
             key = (m, l, j, a2, b2, b)
             t[key] = t.get(key, 0) + c * cc
-    # add the two cyclic rotations a(u) (x) b(v) (x) c(w) -> c(u) (x) a(v) (x) b(w)
-    total = dict(t)
-    for (i, j, k, a, b, c3), c in t.items():
-        for key in ((k, i, j, c3, a, b), (j, k, i, b, c3, a)):
-            total[key] = total.get(key, 0) + c
-    return not any(total.values())
+    # the cyclic sum is t[K] + t[R K] + t[R^2 K] at K, R: a(u) (x) b(v) (x) c(w)
+    # -> c(u) (x) a(v) (x) b(w); it is 0 on an orbit of R holding no key of t
+    return not any(c + t.get((k, i, j, c3, a, b), 0) + t.get((j, k, i, b, c3, a), 0)
+                   for (i, j, k, a, b, c3), c in t.items())
 
 
 def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
@@ -219,9 +226,11 @@ def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
     delta is linear in f, so one ``BasisCobrackets`` per sweep computes
     L * delta(x_i u^k), in ints, once per basis monomial, and every check takes its
     cobrackets from it: the generators, the inner cobrackets of co-Jacobi
-    and delta([f, g]) of the cocycle.  The memo is dropped when the sweep
-    returns.  The cocycle runs once per unordered pair, building the two
-    ad-brackets once for both ordered records.  A generator whose delta is
+    and delta([f, g]) of the cocycle; its one ad table of [x, b_i] per basis
+    index x serves the basis cobrackets and the cocycle, and both are dropped
+    when the sweep returns.  The cocycle runs once per unordered pair, building
+    the two ad-brackets once for both ordered records.  Co-Jacobi tests one
+    orbit sum t[K] + t[R K] + t[R^2 K] per key K of t.  A generator whose delta is
     not polynomial fails its "polynomial" record and gets no skew or
     co-Jacobi record; a co-Jacobi or cocycle record that needs a basis
     cobracket which is not polynomial fails.

@@ -158,13 +158,6 @@ def bracket_basis(alg: LieAlgebraData, i: int, j: int) -> Sparse:
     return alg.struct.get((i, j), _ZERO)
 
 
-def form(alg: LieAlgebraData, x: Sparse, y: Sparse) -> Fraction:
-    return sum(
-        (ci * cj * alg.gram[i][j] for i, ci in x.items() for j, cj in y.items()),
-        Fraction(0),
-    )
-
-
 def casimir(alg: LieAlgebraData) -> Sparse:
     """Omega = sum_i b_i (x) b^i over the form-dual basis."""
     out = Sparse()

@@ -275,6 +275,39 @@ def test_non_canonical_integer_is_config_error(monkeypatch, capsys, where, value
     assert repr(value) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value", ["1_0", " 2 ", "\u0662", "-1"],
+    ids=["underscore", "spaces", "non-ascii digit", "negative"],
+)
+@pytest.mark.parametrize(
+    "where", ["verify --degree", "verify --sweep-degree", "dualbasis --degree", "table k"]
+)
+def test_integer_option_is_ascii_digits(tmp_path, capsys, where, value):
+    # int() reads the first three as 10, 2 and 2; every one is one error line
+    # and exit 2, returned by main rather than raised by argparse
+    command, option = where.split()
+    argv = {
+        "verify": ["verify", "--in", str(build_file(tmp_path)), "--case", "I:two-points:1,2",
+                   "--checks", "duality,delta-axioms", option, value],
+        "dualbasis": ["dualbasis", "--case", "I:constant", "--degree", value],
+        "table": ["table", "I", "simple", value],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option}: not a decimal integer: {value!r}\n"
+
+
+def test_integer_options_read_in_every_check_selection(tmp_path, capsys):
+    # the syntax is checked even where the value is not bounded (no duality)
+    out = build_file(tmp_path)
+    assert main(["verify", "--in", str(out), "--checks", "cybe", "--degree", "0"]) == 0
+    assert main(["verify", "--in", str(out), "--checks", "cybe", "--degree", "1_0"]) == 2
+    assert main(["table", "I", "simple", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1"
+
+
 @pytest.mark.parametrize("rank", [3, 10**400], ids=["3", "10**400"])
 def test_file_basis_is_compared_before_the_algebra_is_built(tmp_path, monkeypatch, capsys, rank):
     # an sl_2 basis under another rank; with no LBFORGE_MAX_RANK, only the

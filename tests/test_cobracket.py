@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -360,3 +361,154 @@ def test_sweep_records_non_polynomial_cobrackets_as_failures(monkeypatch):
     assert not verdict["E(1,2)*u^0,H(1)*u^0", "cocycle"]
     assert ("E(1,2)*u^0", "skew") not in verdict
     assert len(keys) == len(set(keys))  # a failing cobracket is computed once
+
+
+# -- co-Jacobi by orbit sums ----------------------------------------------------
+
+def _rotation_verdict(t):
+    """The cyclic sum as t plus its two rotated copies added into one dict,
+    the oracle of ``check_cojacobi``'s orbit sums: True when it vanishes."""
+    total = dict(t)
+    for (i, j, k, a, b, c3), c in t.items():
+        for key in ((k, i, j, c3, a, b), (j, k, i, b, c3, a)):
+            total[key] = total.get(key, 0) + c
+    return not any(total.values())
+
+
+F_COJ = {(1, 0): 1}
+
+
+def _cobracket_for(t):
+    """A cobracket under which (delta (x) id) delta(F_COJ) is the 6-tensor t:
+    delta(F_COJ) holds x_0 u^n (x) x_k w^c for the n-th third leg (k, c) of
+    t, and the inner delta of x_0 u^n is t's slice at that leg."""
+    legs = sorted({(k, c) for (_, _, k, _, _, c) in t})
+    table = {(1, 0): {(0, k, n, c): 1 for n, (k, c) in enumerate(legs)}}
+    for n, leg in enumerate(legs):
+        table[0, n] = {(i, j, a, b): v for (i, j, k, a, b, c), v in t.items() if (k, c) == leg}
+
+    def cobracket(f):
+        ((key, coeff),) = f.items()
+        assert coeff == 1
+        return table[key]
+
+    return cobracket
+
+
+def _cojacobi_of(t):
+    return check_cojacobi(ALG, YANG, F_COJ, cobracket=_cobracket_for(t))
+
+
+@pytest.mark.parametrize(
+    "t, ok",
+    [
+        # a fixed point of the rotation: the cyclic sum there is 3 * t[K]
+        ({(1, 1, 1, 2, 2, 2): 5}, False),
+        ({(1, 1, 1, 2, 2, 2): 5, (0, 1, 2, 0, 0, 0): 1, (2, 0, 1, 0, 0, 0): -1,
+          (1, 2, 0, 0, 0, 0): 0}, False),
+        # one key of t in its orbit: the rotated keys are missing, not zero
+        ({(0, 1, 2, 0, 1, 2): 1}, False),
+        ({(0, 1, 2, 0, 1, 2): 1, (2, 0, 1, 2, 0, 1): 2, (0, 0, 0, 1, 1, 1): 0}, False),
+        # the cyclic sum cancels across the three rotated keys
+        ({(0, 1, 2, 0, 1, 3): 1, (2, 0, 1, 3, 0, 1): 2, (1, 2, 0, 1, 3, 0): -3}, True),
+        ({(0, 1, 2, 0, 1, 3): 1, (2, 0, 1, 3, 0, 1): 2, (1, 2, 0, 1, 3, 0): -3,
+          (2, 2, 2, 0, 0, 0): 0}, True),
+    ],
+    ids=["fixed point", "fixed point beside a cancelling orbit", "lone key",
+         "two of three keys", "three keys cancel", "cancelling orbit and a zero fixed point"],
+)
+def test_cojacobi_orbit_sums(t, ok):
+    assert _rotation_verdict(t) is ok
+    assert _cojacobi_of(t) is ok
+
+
+def _rotate(key):
+    i, j, k, a, b, c = key
+    return (k, i, j, c, a, b)
+
+
+def test_cojacobi_orbit_sums_match_rotation_oracle():
+    """Random integer 6-tensors on few indices (so orbits overlap and fixed
+    points occur), half of them balanced to a vanishing cyclic sum (R has
+    order 3: an orbit is one fixed key or three keys)."""
+    rng = random.Random(20090)
+    verdicts = []
+    for n in range(400):
+        t = {}
+        for _ in range(rng.randint(1, 8)):
+            key = tuple(rng.randint(0, 1) for _ in range(6))
+            t[key] = rng.randint(-3, 3)
+        if n % 2:
+            # make each orbit's sum 0 by adjusting one key of t on it
+            for key in list(t):
+                orbit = {key, _rotate(key), _rotate(_rotate(key))}
+                t[key] -= sum(t.get(k, 0) for k in orbit)
+        expected = _rotation_verdict(t)
+        assert _cojacobi_of(t) is expected, t
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
+# -- the sweep's ad table -------------------------------------------------------
+
+def _sl3_tensors():
+    """sl_3 tensors with scale > 1: two catalog families, and one with an
+    entry dropped, so that some basis cobrackets are not polynomial."""
+    return [_two_points(ALG3, "I:two-points:1,2"),
+            _two_points(ALG3, "I:two-points:3/4,-8/3"),
+            _without_f_e(ALG3, _two_points(ALG3, "I:two-points:1,2"))]
+
+
+def _random_element(rng, alg, terms):
+    """sum of c x_i u^k over ``terms`` distinct keys, c a non-unit Fraction."""
+    keys = rng.sample([(i, k) for i in range(alg.dim) for k in range(3)], terms)
+    return Sparse({key: Fraction(rng.choice([-7, -3, -2, 2, 3, 5]), rng.choice([1, 2, 3, 4]))
+                   for key in keys})
+
+
+def test_ad_table_rows_are_the_integer_brackets():
+    from lbforge.liealg import bracket_basis
+
+    memo = BasisCobrackets(ALG3, _sl3_tensors()[0])
+    assert len(memo.ad) == ALG3.dim
+    for x, rows in enumerate(memo.ad):
+        assert len(rows) == ALG3.dim
+        for i, row in enumerate(rows):
+            assert all(type(c) is int for _, c in row)
+            assert dict(row) == bracket_basis(ALG3, x, i)
+
+
+def test_ad_table_delta_matches_direct():
+    rng = random.Random(17)
+    for r in _sl3_tensors():
+        memo = BasisCobrackets(ALG3, r)
+        assert memo.scale > 1
+        for _ in range(12):
+            f = _random_element(rng, ALG3, rng.randint(2, 4))
+            try:
+                direct = delta(ALG3, r, f)
+            except NotPolynomialError:
+                direct = None
+            swept = memo(f)
+            if direct is None:
+                assert swept is None
+                continue
+            assert swept is not None and set(swept) == set(direct)
+            for key, c in direct.items():
+                assert Fraction(swept[key], memo.scale) == c, key
+
+
+def test_ad_table_cocycle_matches_direct():
+    rng = random.Random(29)
+    verdicts = []
+    for r in _sl3_tensors():
+        memo = BasisCobrackets(ALG3, r)
+        for _ in range(6):
+            f = _random_element(rng, ALG3, rng.randint(2, 3))
+            g = _random_element(rng, ALG3, rng.randint(2, 3))
+            ok = check_cocycle(ALG3, r, f, g)
+            assert check_cocycle(ALG3, r, f, g, cobracket=memo) is ok
+            assert check_cocycle(ALG3, r, f, g, cobracket=memo, both_orders=True) == (
+                ok, check_cocycle(ALG3, r, g, f))
+            verdicts.append(ok)
+    assert True in verdicts and False in verdicts

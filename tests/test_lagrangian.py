@@ -11,7 +11,7 @@ from lbforge.errors import (
     NotTransversalError,
     ShapeMismatchError,
 )
-from lbforge.liealg import basis_element, bracket, build_sl, form
+from lbforge.liealg import basis_element, bracket, build_sl
 from lbforge.lagrangian import (
     WPresentation,
     catalog_w0,
@@ -30,6 +30,7 @@ from lbforge.lagrangian import (
 from lbforge.pairing import CaseSpec, DoubleElement, embed_canonical, q_form, validate_case
 from lbforge.ratfun import poly1
 from lbforge.sparse import RowSpan, Sparse, gauss_solve
+from test_liealg import form
 
 ALG = build_sl(2)
 ALL_CASES = [

@@ -15,7 +15,6 @@ from lbforge.liealg import (
     build_sl,
     casimir,
     cyb,
-    form,
     jordanian,
     r_c1c2,
     r_dj,
@@ -89,6 +88,15 @@ def test_gram_matches_trace_form(n):
     for a in range(alg.dim):
         for b in range(alg.dim):
             assert alg.gram[a][b] == mat_trace(mat_mul(mats[a], mats[b]))
+
+
+def form(alg, x: Sparse, y: Sparse) -> Fraction:
+    """The trace form K(x, y) of two elements of g, extended bilinearly from
+    the Gram matrix that ``test_gram_matches_trace_form`` checks."""
+    return sum(
+        (ci * cj * alg.gram[i][j] for i, ci in x.items() for j, cj in y.items()),
+        Fraction(0),
+    )
 
 
 @pytest.mark.parametrize("n", range(2, 10))

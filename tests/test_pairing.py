@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lbforge.errors import InvalidParameterError, ShapeMismatchError
 from lbforge.lagrangian import catalog_w0, window_basis
-from lbforge.liealg import basis_element, build_sl, form
+from lbforge.liealg import basis_element, build_sl
 from lbforge.pairing import (
     CaseSpec,
     DoubleElement,
@@ -21,6 +21,7 @@ from lbforge.pairing import (
 )
 from lbforge.ratfun import expand_at_zero
 from lbforge.sparse import Sparse
+from test_liealg import form
 from test_ratfun import residue
 
 ALG = build_sl(2)

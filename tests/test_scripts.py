@@ -35,6 +35,17 @@ def test_axiom_sweep_bad_parameter_exits_2(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1_0", " 2 ", "\u0662"],
+                         ids=["underscore", "spaces", "non-ascii digit"])
+@pytest.mark.parametrize("flag", ["--algebra", "--degree", "--cocycle-degree"])
+def test_axiom_sweep_flags_are_ascii_digits(tmp_path, capsys, flag, value):
+    out = tmp_path / "sweep.json"
+    assert axiom_sweep_script.main([flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag}: not a decimal integer: {value!r}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_axiom_sweep_reports_milliseconds(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     assert axiom_sweep_script.main(["--degree", "0", "--cocycle-degree", "0",
