@@ -16,7 +16,7 @@ from lbforge.cobracket import (
     check_skew,
     delta,
 )
-from lbforge.liealg import basis_element, build_sl, jordanian
+from lbforge.liealg import basis_element, bracket_basis, build_sl, jordanian
 from lbforge.lagrangian import catalog_w0
 from lbforge.pairing import CaseSpec
 from lbforge.ratfun import bivar, poly2
@@ -467,8 +467,6 @@ def _random_element(rng, alg, terms):
 
 
 def test_ad_table_rows_are_the_integer_brackets():
-    from lbforge.liealg import bracket_basis
-
     memo = BasisCobrackets(ALG3, _sl3_tensors()[0])
     assert len(memo.ad) == ALG3.dim
     for x, rows in enumerate(memo.ad):
