@@ -17,7 +17,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--algebra", default="A:2")
     parser.add_argument("--outdir", default="out")
-    parser.add_argument("--degree", type=int, default=6)
+    # passed through as text: the CLI reads it as a decimal integer
+    parser.add_argument("--degree", default="6")
     args = parser.parse_args(argv)
 
     outdir = pathlib.Path(args.outdir)
@@ -35,7 +36,7 @@ def main(argv=None):
             continue
         code = cli_main(
             ["verify", "--in", str(path), "--case", case,
-             "--checks", "cybe,skew,duality", "--degree", str(args.degree),
+             "--checks", "cybe,skew,duality", "--degree", args.degree,
              "--out", str(outdir / f"{slug}.report.json")]
         )
         print(f"{case:22s} -> {path.name}  verify exit {code}")

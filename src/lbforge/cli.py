@@ -162,7 +162,7 @@ def _check_cybe(alg, r, spec, args):
     result = cyb_spectral(alg, r)
     if result.is_zero():
         return True, None
-    return False, _witness(alg, result.numerators.items(), 3)
+    return False, _witness(alg, result.items(), 3)
 
 
 def _check_skew(alg, r, spec, args):
@@ -318,10 +318,17 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejections raise ``InvalidParameterError``; subparsers inherit this."""
+
+    def error(self, message):
+        raise InvalidParameterError(message)
+
+
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use and only read after."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lbforge",
         description="Exact spectral r-matrices for Lie bialgebra structures "
         "on polynomial Lie algebras.",
@@ -365,18 +372,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
-    except MalformedInputError as exc:
+    except (LbforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except LbforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        config = isinstance(exc, LbforgeError) and not isinstance(exc, MalformedInputError)
+        return EXIT_BAD_CONFIG if config else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Lagrangian complements W of g[u] in the double: lifts from the finite
-quotient, the shipped catalog, windowed Lagrangian checks, and dual bases.
+quotient, the shipped catalog, windowed Lagrangian checks (closure modulo
+the tail ideal, transversality modulo g[u]), and dual bases.
 
 Every W handled here contains a polynomial-ideal tail m(t) g[t] with
 t = u^{-1}, plus finitely many head generators.  The quotient of the
@@ -23,7 +24,7 @@ from .errors import (
     NotTransversalError,
 )
 from .liealg import LieAlgebraData, basis_element, bracket, bracket_poly
-from .pairing import CaseSpec, DoubleElement, canonical_pairings, embed_canonical, pairing_map
+from .pairing import CaseSpec, DoubleElement, canonical_pairings, pairing_map
 from .ratfun import poly1
 from .sparse import RowSpan, Sparse, poly_mul
 
@@ -246,6 +247,12 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
     monomials with j < min(k, window - deg m + 1), the ones inside the
     window; ``closure_witness`` labels the first bracket that leaves W (see
     ``_closure_checks``).
+
+    Transversality: the canonical x_i u^k, k <= window, are loop key
+    (0, i, -k) plus jet key (1 + k, i) when k < s, independent as their loop
+    keys differ.  With the W window they span the slice, dim g (2 window + 1
+    + s), exactly when the window reduced modulo them (pop (0, i, -k), add -c
+    at (1 + k, i) when k < s) has rank dim g (window + s).
     """
     head_deg = max(
         (max((-d for (_, d) in g.loop), default=0) for g in w.head), default=0
@@ -268,14 +275,17 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
         None,
     )
 
-    # transversality: W-window plus canonical window spans the slice
-    slice_span = RowSpan()
+    # transversality: the W window modulo g[u] up to u^window
+    s = w.spec.at_infinity
+    reduced = RowSpan()
     for el in basis:
-        slice_span.add(el.coords())
-    for k in range(window + 1):
-        for i in range(alg.dim):
-            slice_span.add(embed_canonical(w.spec, basis_element(i), k).coords())
-    transversal = slice_span.dim == alg.dim * (2 * window + 1 + w.spec.at_infinity)
+        row = el.coords()
+        for key in [e for e in row if e[0] == 0 and -window <= e[2] <= 0]:
+            c = row.pop(key)
+            if -key[2] < s:
+                row.iadd((1 - key[2], key[1]), -c)
+        reduced.add(row)
+    transversal = reduced.dim == alg.dim * (window + s)
     return LagrangianReport(
         witness is None, closure_witness is None, transversal, witness, closure_witness
     )

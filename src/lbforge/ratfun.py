@@ -1,6 +1,6 @@
 """Exact scalar substrate: univariate rational functions and their Taylor
-series at 0, and bivariate rational functions with denominator a power of
-(v - u).
+series at 0, and bivariate rational functions num/(v - u)^k in lowest terms
+(``bivar``); their scaling and affine substitution are tensor passes.
 
 Polynomials are ``Sparse`` maps exponent -> Fraction; univariate keys are
 ints, bivariate keys are (deg_u, deg_v) pairs.
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateSubstitutionError, PoleAtZeroError
+from .errors import PoleAtZeroError
 from .sparse import Sparse, poly_mul
 
 
@@ -94,14 +94,6 @@ class BivarRat:
         b = mul_vu_pow(other.num, k - other.den_pow)
         return bivar(a + b, k)
 
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        if scalar == 0:
-            return BivarRat(Sparse(), 0)
-        return BivarRat(scalar * self.num, self.den_pow)
-
-    __rmul__ = __mul__
-
 
 _VU = Sparse({(0, 1): Fraction(1), (1, 0): Fraction(-1)})  # v - u
 
@@ -113,9 +105,8 @@ def mul_vu_pow(num: Sparse, extra: int) -> Sparse:
     return num
 
 
-def bivar(num, den_pow: int = 0) -> BivarRat:
+def bivar(num: Sparse, den_pow: int = 0) -> BivarRat:
     """Canonical BivarRat: cancel every (v - u) factor shared with num."""
-    num = num if isinstance(num, Sparse) else poly2(num)
     if num.is_zero():
         return BivarRat(Sparse(), 0)
     while den_pow > 0:
@@ -125,37 +116,6 @@ def bivar(num, den_pow: int = 0) -> BivarRat:
         num = quot
         den_pow -= 1
     return BivarRat(num, den_pow)
-
-
-def poly2_substitute_affine(p: Sparse, pc: Fraction, qc: Fraction) -> Sparse:
-    """p(pc*u + qc, pc*v + qc) expanded exactly."""
-    top = max((max(a, b) for (a, b) in p), default=0)
-    powers = _affine_powers(pc, qc, top)
-    out = Sparse()
-    for (a, b), c in p.items():
-        for k1, c1 in powers[a].items():
-            for k2, c2 in powers[b].items():
-                out.iadd((k1, k2), c * c1 * c2)
-    return out
-
-
-def _affine_powers(pc, qc, top):
-    """(pc*x + qc)^k for k = 0..top, as univariate Sparse in x."""
-    lin = Sparse({1: Fraction(pc), 0: Fraction(qc)})
-    powers = [Sparse({0: Fraction(1)})]
-    for _ in range(top):
-        powers.append(poly_mul(powers[-1], lin))
-    return powers
-
-
-def substitute_affine_scalar(f: BivarRat, p, q) -> BivarRat:
-    """f(pu+q, pv+q); the denominator rescales by p^den_pow."""
-    p = Fraction(p)
-    q = Fraction(q)
-    if p == 0:
-        raise DegenerateSubstitutionError("affine substitution with p = 0")
-    num = poly2_substitute_affine(f.num, p, q)
-    return bivar((1 / p**f.den_pow) * num, f.den_pow)
 
 
 def bivar_swap_vars(f: BivarRat) -> BivarRat:

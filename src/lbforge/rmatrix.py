@@ -25,8 +25,8 @@ u/(v-u) + 1 and Omega - swap(r) = r for the modified data it accepts.
 Spectral CYBE runs on r = sum phi(u, v)/(v-u)^d (x) T, phi spanning each
 denominator class d (rank <= 2 for the families), T coprime integers so the
 constant brackets (``liealg.bracket3``, which ``cyb`` also sums) are
-int-only; the entry-by-entry sum is the test oracle.  The series of the
-closed form and of the dual basis are flat Sparse keyed (i, j, deg_u, deg_v).
+int-only; the entry-by-entry sum is the test oracle.  CYB(r), the series
+of the closed form and of the dual basis are flat Sparse numerators.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import gcd, lcm
 from .errors import InvalidParameterError, KindMismatchError
 from .lagrangian import WPresentation, dual_basis, quotient_ambient
 from .liealg import LEGS, LieAlgebraData, bracket3, casimir, cyb, r_dj, swap2
-from .pairing import CaseSpec, validate_case
+from .pairing import CaseSpec
 from .ratfun import BivarRat, bivar, bivar_swap_vars, mul_vu_pow, poly2
 from .sparse import RowSpan, Sparse, poly_mul
 
@@ -106,10 +106,9 @@ class SpectralTensor2:
         return out
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        return SpectralTensor2(
-            {k: scalar * v for k, v in self.entries.items()} if scalar else {}
-        )
+        scalar = Fraction(scalar)  # nonzero: every entry stays in lowest terms
+        return SpectralTensor2({k: BivarRat(scalar * v.num, v.den_pow)
+                                for k, v in self.items()} if scalar else {})
 
     __rmul__ = __mul__
 
@@ -124,9 +123,7 @@ class SpectralTensor2:
 
 
 def from_constant(t: Sparse) -> SpectralTensor2:
-    return SpectralTensor2(
-        {k: BivarRat(Sparse({(0, 0): c}), 0) for k, c in t.items()}
-    )
+    return SpectralTensor2({k: BivarRat(Sparse({(0, 0): c}), 0) for k, c in t.items()})
 
 
 def kernel_tensor(alg, num: Sparse) -> SpectralTensor2:
@@ -138,10 +135,8 @@ def kernel_tensor(alg, num: Sparse) -> SpectralTensor2:
 
 
 def build_r(alg: LieAlgebraData, spec: CaseSpec, rk: RKind) -> SpectralTensor2:
-    """The family member labelled by a classification datum."""
-    reason = validate_case(spec)
-    if reason is not None:
-        raise InvalidParameterError(reason)
+    """The family member labelled by a classification datum; ``spec.points``
+    rejects an illegal case before anything is built."""
     need = family_requirement(spec)
     if rk.tag != need:
         raise KindMismatchError(
@@ -202,17 +197,6 @@ def skew_spectral_check(r: SpectralTensor2) -> bool:
 
 # -- CYBE with spectral parameters -------------------------------------------
 
-@dataclass
-class SpectralCyb:
-    """CYB(r)(u, v, w) as numerator tensor over (v-u)^a (w-u)^b (w-v)^c."""
-
-    numerators: Sparse  # keyed (i, j, k, du, dv, dw)
-    den_pows: tuple
-
-    def is_zero(self):
-        return self.numerators.is_zero()
-
-
 def _factors(r: SpectralTensor2):
     """(d, phi, T) with r = sum phi/(v - u)^d (x) T: phi a reduced row of the
     span of class d's numerators, T[key] the entry's coefficient at phi's
@@ -233,11 +217,12 @@ def _on_legs(p: Sparse, a: int, lift: int) -> Sparse:
     return Sparse({(*e[:2 - a], 0, *e[2 - a:]): c for e, c in mul_vu_pow(p, lift).items()})
 
 
-def cyb_spectral(alg, r: SpectralTensor2) -> SpectralCyb:
-    """[r12, r13] + [r12, r23] + [r13, r23] over a common denominator,
-    one integer constant bracket and one trivariate product per pair of
-    factors and CYBE term.  Each slot of the common denominator is the
-    largest den_pow that meets a nonzero structure constant there."""
+def cyb_spectral(alg, r: SpectralTensor2) -> Sparse:
+    """CYB(r) = [r12, r13] + [r12, r23] + [r13, r23] as its numerator keyed
+    (i, j, k, du, dv, dw) over (v-u)^a (w-u)^b (w-v)^c, each exponent the
+    largest den_pow that meets a nonzero structure constant in that slot;
+    zero exactly when CYB(r) is.  One integer constant bracket and one
+    trivariate product per pair of factors and CYBE term."""
     facs = list(_factors(r))
     terms, common = [], [0, 0, 0]
     for da, pa, ta in facs:
@@ -261,4 +246,4 @@ def cyb_spectral(alg, r: SpectralTensor2) -> SpectralCyb:
             c = c.numerator * (den // c.denominator)
             for key, cb in br.items():
                 acc[key + mono] = acc.get(key + mono, 0) + cb * c
-    return SpectralCyb(Sparse((k, Fraction(c, den)) for k, c in acc.items() if c), tuple(common))
+    return Sparse((k, Fraction(c, den)) for k, c in acc.items() if c)

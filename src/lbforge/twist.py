@@ -1,6 +1,7 @@
 """Quasi-twist equivalence between two-point families: the affine change
-of variable sigma(u) = p u + q, the scaling constant, and the exact
-identity between the transformed and target r-matrices.
+of variable sigma(u) = p u + q, applied to a whole spectral tensor in one
+pass, the scaling constant, and the exact identity between the transformed
+and target r-matrices.
 
 For admissible (c1, c2) and (d1, d2) there is a unique (p, q) with
 d_i = c_i p / (1 - c_i q); the corresponding r-matrices then satisfy
@@ -17,7 +18,7 @@ from fractions import Fraction
 from .errors import DegenerateSubstitutionError
 from .liealg import LieAlgebraData, build_sl, r_dj, wedge_sum
 from .pairing import CaseSpec
-from .ratfun import poly2, substitute_affine_scalar
+from .ratfun import bivar, poly2
 from .rmatrix import (
     RKind,
     SpectralTensor2,
@@ -25,6 +26,7 @@ from .rmatrix import (
     from_constant,
     kernel_tensor,
 )
+from .sparse import Sparse, poly_mul
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,7 @@ def solve_pq(c1, c2, d1, d2) -> AffineChange:
     c1, c2, d1, d2 = (Fraction(x) for x in (c1, c2, d1, d2))
     for pair in ((c1, c2), (d1, d2)):
         CaseSpec("I", "two-points", *pair)  # nonzero and distinct
-    x = (Fraction(1, 1) / d1 - Fraction(1, 1) / d2) / (
-        Fraction(1, 1) / c1 - Fraction(1, 1) / c2
-    )
+    x = (1 / d1 - 1 / d2) / (1 / c1 - 1 / c2)
     y = x / c1 - 1 / d1
     if x == 0:
         raise DegenerateSubstitutionError("degenerate change of variable")
@@ -66,10 +66,18 @@ def scaling_constant(c1, c2, ch: AffineChange) -> Fraction:
 
 
 def substitute_affine_tensor(r: SpectralTensor2, ch: AffineChange) -> SpectralTensor2:
-    """Entry-wise substitution u -> p u + q, v -> p v + q."""
-    return SpectralTensor2(
-        {key: substitute_affine_scalar(val, ch.p, ch.q) for key, val in r.items()}
-    )
+    """u -> p u + q, v -> p v + q in one pass, one table of (p x + q)^a for
+    every entry: num/(v - u)^k becomes p^-k num(pu + q, pv + q)/(v - u)^k."""
+    lin = Sparse({1: ch.p, 0: ch.q})
+    powers = [Sparse({0: 1})]
+    out = {}
+    for key, val in r.items():
+        while len(powers) <= max(max(e) for e in val.num):
+            powers.append(poly_mul(powers[-1], lin))
+        num = Sparse(((k1, k2), c * c1 * c2) for (a, b), c in val.num.items()
+                     for k1, c1 in powers[a].items() for k2, c2 in powers[b].items())
+        out[key] = bivar(Fraction(ch.p) ** -val.den_pow * num, val.den_pow)
+    return SpectralTensor2(out)
 
 
 @dataclass
@@ -107,9 +115,8 @@ def remark_example_check(alg: LieAlgebraData = None, scale=Fraction(2)) -> bool:
     with scale = 2.
     """
     alg = alg or build_sl(2)
-    lhs = kernel_tensor(
-        alg, poly2({(0, 0): Fraction(1), (1, 1): Fraction(-1)})
-    ) + from_constant(wedge_sum(alg))
+    lhs = kernel_tensor(alg, poly2({(0, 0): 1, (1, 1): -1}))
+    lhs += from_constant(wedge_sum(alg))
     transformed = substitute_affine_tensor(lhs, AffineChange(Fraction(2), Fraction(-1)))
     rk = RKind.mcybe(alg, r_dj(alg))
     rhs = Fraction(scale) * build_r(alg, CaseSpec("II", "simple-pole"), rk)

@@ -299,6 +299,37 @@ def test_integer_option_is_ascii_digits(tmp_path, capsys, where, value):
     assert captured.err == f"error: {option}: not a decimal integer: {value!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dualbasis", "--case", "I:constant", "--degree", "-x"],
+         "argument --degree: expected one argument"),
+        (["dualbasis", "--case", "I:constant", "--degree", "--1"],
+         "argument --degree: expected one argument"),
+        (["dualbasis", "--degree", "3"], "the following arguments are required: --case"),
+        (["table", "IV", "simple"], "argument double_type: invalid choice: 'IV'"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ],
+    ids=["dash value", "double-dash value", "missing case", "bad table type",
+         "unknown subcommand"],
+)
+def test_argument_rejections_return_2(capsys, argv, message):
+    # argparse's own rejections keep the exit contract: main returns 2 with
+    # one error line and no usage block
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dualbasis", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lbforge dualbasis")
+
+
 def test_integer_options_read_in_every_check_selection(tmp_path, capsys):
     # the syntax is checked even where the value is not bounded (no duality)
     out = build_file(tmp_path)

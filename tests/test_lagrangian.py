@@ -543,6 +543,68 @@ def test_remainder_has_the_same_quotient_image(text, loop, fin, eps):
     assert r == reduced.coords()
 
 
+def _slice_transversal(alg, w, window):
+    """Transversality as the whole slice: the W window plus the canonical
+    vectors x_i u^k, k <= window, span dim g (2 window + 1 + s).  The
+    oracle of ``is_lagrangian``'s reduction modulo g[u]."""
+    span = RowSpan()
+    for el in window_basis(alg, w, window):
+        span.add(el.coords())
+    for k in range(window + 1):
+        for i in range(alg.dim):
+            span.add(embed_canonical(w.spec, basis_element(i), k).coords())
+    return span.dim == alg.dim * (2 * window + 1 + w.spec.at_infinity)
+
+
+def _duplicated_head(alg, spec):
+    w = catalog_w0(alg, spec)
+    return WPresentation(spec, [w.head[0], *w.head[:-1]], w.tail)
+
+
+def _loop_head(alg, spec, k=0):
+    # the first head replaced by x_0 u^k, an element of g[u]
+    w = catalog_w0(alg, spec)
+    return WPresentation(spec, [embed_canonical(spec, basis_element(0), k), *w.head[1:]], w.tail)
+
+
+def _mixed_heads(alg, spec, rng):
+    # one head replaced by a combination of two heads, possibly itself
+    w = catalog_w0(alg, spec)
+    head = list(w.head)
+    a, b, c = (rng.randrange(len(head)) for _ in range(3))
+    x, y = (rng.choice([-2, -1, 0, 1, 3]) for _ in range(2))
+    head[a] = x * head[b] + y * head[c]
+    return WPresentation(spec, head, w.tail)
+
+
+@pytest.mark.parametrize("text", ALL_CASES + ["I:two-points:2,-3"])
+@pytest.mark.parametrize("make", [_duplicated_head, _loop_head])
+def test_head_inside_span_is_not_transversal(make, text):
+    spec = CaseSpec.parse(text)
+    for alg in ALGS.values():
+        w = make(alg, spec)
+        report = is_lagrangian(alg, w, 6)
+        assert report.transversal is False and not report.ok
+        assert not _slice_transversal(alg, w, 6)
+
+
+@pytest.mark.parametrize("text", ALL_CASES + ["I:two-points:2,-3"])
+def test_transversality_matches_slice_oracle(text):
+    rng = random.Random(text)
+    spec = CaseSpec.parse(text)
+    seen = set()
+    for alg in ALGS.values():
+        ws = [catalog_w0(alg, spec), _duplicated_head(alg, spec), _loop_head(alg, spec),
+              _loop_head(alg, spec, 4), _loop_head(alg, spec, 6)]
+        ws += [_mixed_heads(alg, spec, rng) for _ in range(6)]
+        for w in ws:
+            for window in (4, 6):
+                got = is_lagrangian(alg, w, window).transversal
+                assert got == _slice_transversal(alg, w, window)
+                seen.add(got)
+    assert seen == {True, False}
+
+
 def test_window_too_small():
     spec = tp()
     with pytest.raises(InconclusiveWindowError):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbforge.errors import DegenerateSubstitutionError, PoleAtZeroError
+from lbforge.errors import PoleAtZeroError
 from lbforge.ratfun import (
     RatFun1,
     bivar,
@@ -13,7 +13,6 @@ from lbforge.ratfun import (
     poly1,
     poly2,
     poly2_divide_vu,
-    substitute_affine_scalar,
 )
 from lbforge.sparse import Sparse, poly_mul
 
@@ -33,11 +32,6 @@ def residue(f: Sparse, a: RatFun1) -> Fraction:
         return Fraction(0)
     taylor = expand_at_zero(a, -lowest - 1)
     return sum((c * taylor[-k - 1] for k, c in f.items() if k < 0), Fraction(0))
-
-
-def mul_rat(f, g):
-    """The product of two bivariate rational functions."""
-    return bivar(poly_mul(f.num, g.num), f.den_pow + g.den_pow)
 
 
 def test_expand_geometric():
@@ -165,45 +159,6 @@ def test_bivar_add_common_denominator():
     total = one_over + const
     assert total.den_pow == 1
     assert total.num == poly2({(0, 0): 1, (0, 1): 1, (1, 0): -1})
-
-
-def test_substitute_identity():
-    f = bivar(poly2({(1, 1): 1}), 1)  # uv/(v-u)
-    assert substitute_affine_scalar(f, 1, 0) == f
-
-
-def test_substitute_scaling():
-    f = bivar(poly2({(0, 0): 1}), 1)  # 1/(v-u)
-    g = substitute_affine_scalar(f, 2, 1)
-    assert g == bivar(poly2({(0, 0): Fraction(1, 2)}), 1)
-
-
-def test_substitute_remark_kernel():
-    # (1-uv)/(v-u) under u -> 2u-1 becomes (u+v-2uv)/(v-u)
-    f = bivar(poly2({(0, 0): 1, (1, 1): -1}), 1)
-    g = substitute_affine_scalar(f, 2, -1)
-    assert g == bivar(poly2({(1, 0): 1, (0, 1): 1, (1, 1): -2}), 1)
-
-
-def test_substitute_degenerate():
-    with pytest.raises(DegenerateSubstitutionError):
-        substitute_affine_scalar(bivar(poly2({(0, 0): 1}), 1), 0, 1)
-
-
-bivar_rats = st.builds(
-    bivar,
-    st.dictionaries(
-        st.tuples(st.integers(0, 2), st.integers(0, 2)), fracs, max_size=3
-    ).map(poly2),
-    st.integers(min_value=0, max_value=1),
-)
-
-
-@given(bivar_rats, bivar_rats, fracs.filter(lambda x: x != 0), fracs)
-def test_substitute_is_ring_morphism(f, g, p, q):
-    sub = lambda h: substitute_affine_scalar(h, p, q)
-    assert sub(f + g) == sub(f) + sub(g)
-    assert sub(mul_rat(f, g)) == mul_rat(sub(f), sub(g))
 
 
 def test_swap_vars():

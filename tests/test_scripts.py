@@ -16,6 +16,7 @@ def _load(name):
 
 axiom_sweep_script = _load("axiom_sweep")
 bench_compare_script = _load("bench_compare")
+build_all_families_script = _load("build_all_families")
 
 
 @pytest.mark.parametrize(
@@ -44,6 +45,13 @@ def test_axiom_sweep_flags_are_ascii_digits(tmp_path, capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.err == f"error: {flag}: not a decimal integer: {value!r}\n"
     assert captured.out == "" and not out.exists()
+
+
+def test_build_all_families_degree_is_ascii_digits(tmp_path, capsys):
+    # an int() option would read " 1_0" as 10 and exit 0
+    argv = ["--degree", " 1_0", "--outdir", str(tmp_path)]
+    assert build_all_families_script.main(argv) == 2
+    assert "error: --degree: not a decimal integer: ' 1_0'\n" in capsys.readouterr().err
 
 
 def test_axiom_sweep_reports_milliseconds(tmp_path, capsys):

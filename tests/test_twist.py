@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lbforge.errors import DegenerateSubstitutionError, InvalidParameterError
 from lbforge.liealg import build_sl, r_dj
 from lbforge.pairing import CaseSpec
-from lbforge.ratfun import poly2
-from lbforge.rmatrix import RKind, build_r, from_constant, kernel_tensor
+from lbforge.ratfun import BivarRat, bivar, poly2
+from lbforge.rmatrix import RKind, SpectralTensor2, build_r, from_constant, kernel_tensor
+from lbforge.sparse import Sparse, poly_mul
 from lbforge.twist import (
     AffineChange,
     quasi_twist_verify,
@@ -108,6 +111,58 @@ def test_quasi_twist_verify_random():
     for _ in range(8):
         report = quasi_twist_verify(*random_quadruple(rng))
         assert report.equal
+
+
+# -- substitution, one entry at a time ----------------------------------------
+
+fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+bivar_rats = st.builds(
+    bivar,
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), fracs, max_size=3
+    ).map(poly2),
+    st.integers(min_value=0, max_value=1),
+)
+
+
+def substitute_one(f, p, q):
+    """f(pu + q, pv + q) through a one-entry tensor, its entry checked to
+    be in lowest terms."""
+    out = substitute_affine_tensor(
+        SpectralTensor2({(0, 1): f}), AffineChange(Fraction(p), Fraction(q))
+    )
+    for val in out.entries.values():
+        assert val == bivar(val.num, val.den_pow)
+    return out.entries.get((0, 1), BivarRat(Sparse(), 0))
+
+
+def mul_rat(f, g):
+    """The product of two bivariate rational functions."""
+    return bivar(poly_mul(f.num, g.num), f.den_pow + g.den_pow)
+
+
+def test_substitute_identity():
+    f = bivar(poly2({(1, 1): 1}), 1)  # uv/(v-u)
+    assert substitute_one(f, 1, 0) == f
+
+
+def test_substitute_scaling():
+    f = bivar(poly2({(0, 0): 1}), 1)  # 1/(v-u)
+    assert substitute_one(f, 2, 1) == bivar(poly2({(0, 0): Fraction(1, 2)}), 1)
+
+
+def test_substitute_remark_kernel():
+    # (1-uv)/(v-u) under u -> 2u-1 becomes (u+v-2uv)/(v-u)
+    f = bivar(poly2({(0, 0): 1, (1, 1): -1}), 1)
+    g = substitute_one(f, 2, -1)
+    assert g == bivar(poly2({(1, 0): 1, (0, 1): 1, (1, 1): -2}), 1)
+
+
+@given(bivar_rats, bivar_rats, fracs.filter(lambda x: x != 0), fracs)
+def test_substitute_is_ring_morphism(f, g, p, q):
+    sub = lambda h: substitute_one(h, p, q)
+    assert sub(f + g) == sub(f) + sub(g)
+    assert sub(mul_rat(f, g)) == mul_rat(sub(f), sub(g))
 
 
 def test_substitute_tensor_scaling():
