@@ -25,8 +25,9 @@ u/(v-u) + 1 and Omega - swap(r) = r for the modified data it accepts.
 Spectral CYBE runs on r = sum phi(u, v)/(v-u)^d (x) T, phi spanning each
 denominator class d (rank <= 2 for the families), T coprime integers so the
 constant brackets (``liealg.bracket3``, which ``cyb`` also sums) are
-int-only; the entry-by-entry sum is the test oracle.  CYB(r), the series
-of the closed form and of the dual basis are flat Sparse numerators.
+int-only; the entry-by-entry sum is the test oracle.  CYB(r) comes back as
+its flat Sparse numerator; the series of the closed form and of the dual
+basis are flat Sparse keyed (i, j, deg_u, deg_v).
 """
 
 from __future__ import annotations
