@@ -6,7 +6,9 @@ import argparse
 import pathlib
 import sys
 
+from lbforge.cli import EXIT_BAD_CONFIG, parse_natural
 from lbforge.cli import main as cli_main
+from lbforge.errors import InvalidParameterError
 from lbforge.pairing import FAMILY_POINTS
 
 # the seven families, each built with its catalog constant part, the CLI default
@@ -17,9 +19,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--algebra", default="A:2")
     parser.add_argument("--outdir", default="out")
-    # passed through as text: the CLI reads it as a decimal integer
     parser.add_argument("--degree", default="6")
     args = parser.parse_args(argv)
+    # read once, before any file is written
+    try:
+        degree = str(parse_natural(args.degree, "--degree"))
+    except InvalidParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -36,7 +43,7 @@ def main(argv=None):
             continue
         code = cli_main(
             ["verify", "--in", str(path), "--case", case,
-             "--checks", "cybe,skew,duality", "--degree", args.degree,
+             "--checks", "cybe,skew,duality", "--degree", degree,
              "--out", str(outdir / f"{slug}.report.json")]
         )
         print(f"{case:22s} -> {path.name}  verify exit {code}")

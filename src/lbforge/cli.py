@@ -82,9 +82,10 @@ def parse_case(text: str) -> CaseSpec:
 
 
 def classify_rkind(alg, value: Sparse) -> RKind:
-    if value + swap2(value) == casimir(alg):
+    total = value + swap2(value)
+    if total == casimir(alg):
         return RKind.mcybe(alg, value)
-    if (value + swap2(value)).is_zero():
+    if total.is_zero():
         return RKind.skew(alg, value)
     raise InvalidParameterError("constant tensor is neither modified-type nor skew")
 

@@ -1,6 +1,5 @@
 """Lagrangian complements W of g[u] in the double: lifts from the finite
-quotient, the shipped catalog, windowed Lagrangian checks (closure modulo
-the tail ideal, transversality modulo g[u]), and dual bases.
+quotient, the shipped catalog, the Lagrangian check and the dual basis.
 
 Every W handled here contains a polynomial-ideal tail m(t) g[t] with
 t = u^{-1}, plus finitely many head generators.  The quotient of the
@@ -11,6 +10,17 @@ subalgebras there lift to Lagrangian complements of g[u].
 Quotient generators are pairs (x1, x2) of g-elements, read by the case:
 (left, right) for g + g, (value, eps-part) for g + eps*g.  They carry no
 label and no form: isotropy is checked on their lifts, in the double.
+
+The tail is the dual of g[u] above degree 0.  Over the family's finite
+points c, m(t) = prod (t - c) = u^{-deg m} prod (1 - c u), deg m = 2 - s,
+and a(u) = 1/prod (1 - c u) (the shape's other type I points are 0), so
+m(t) a(u) = u^{-deg m}.  The canonical x_j u^l, whose jets meet none in the
+tail, pairs with m(t) t^{k-1} x^i, k >= 1 and x^i the trace-form dual of x_i,
+to Res u^{-s} a(u) m(t) u^{l-k+1} K(x_j, x^i) = Res u^{l-k-1} delta_ij =
+delta_ij delta_kl.  Likewise Q(h, m(t) t^j x) = K(h_{j+1}, x), h_{j+1} the
+coefficient of u^{j+1} in h, and two tail monomials pair to
+Res u^{-2-j-j'}(...) = 0.  So the Lagrangian check and the dual basis read
+finitely many elements of W, fixed by the heads: no degree window.
 """
 
 from __future__ import annotations
@@ -18,11 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InconclusiveWindowError,
-    InvalidParameterError,
-    NotTransversalError,
-)
+from .errors import InconclusiveWindowError, InvalidParameterError, NotTransversalError
 from .liealg import LieAlgebraData, basis_element, bracket, bracket_poly
 from .pairing import CaseSpec, DoubleElement, canonical_pairings, pairing_map
 from .ratfun import poly1
@@ -151,17 +157,17 @@ def catalog_w0(alg: LieAlgebraData, spec: CaseSpec) -> WPresentation:
     return lift_lagrangian(alg, spec, gens)
 
 
-# -- windowed checks ----------------------------------------------------------
+# -- the Lagrangian check and the dual basis ----------------------------------
+
+def tail_element(w: WPresentation, x: Sparse, j: int) -> DoubleElement:
+    """m(t) t^j x."""
+    return DoubleElement(_loop_from_tpoly(x, Sparse((d + j, c) for d, c in w.tail.items())))
+
 
 def tail_monomials(alg: LieAlgebraData, w: WPresentation, max_t_degree: int):
     """m(t) t^j x for basis x, with deg(m) + j <= max_t_degree."""
-    out = []
-    mdeg = w.tail_degree()
-    for j in range(0, max_t_degree - mdeg + 1):
-        shifted = Sparse(((d + j, c) for d, c in w.tail.items()))
-        for i in range(alg.dim):
-            out.append(DoubleElement(_loop_from_tpoly(basis_element(i), shifted)))
-    return out
+    return [tail_element(w, basis_element(i), j)
+            for j in range(max_t_degree - w.tail_degree() + 1) for i in range(alg.dim)]
 
 
 def window_basis(alg, w: WPresentation, max_t_degree: int):
@@ -203,18 +209,26 @@ def rem(w: WPresentation, el: DoubleElement) -> Sparse:
     return out
 
 
-def _closure_checks(alg, w: WPresentation, window: int):
+def _over_case_tail(alg, w: WPresentation) -> WPresentation:
+    """W over the case's tail m(t): a tail m'(t) dividing m(t) moves its
+    m'(t) t^j x_i, deg m' + j < deg m, to the heads; other tails raise."""
+    m = tail_poly(w.spec)
+    if w.tail == m:
+        return w
+    if rem(w, DoubleElement(_loop_from_tpoly(basis_element(0), m))):
+        raise InvalidParameterError("the tail ideal must contain m(t) g[t]")
+    return WPresentation(w.spec, window_basis(alg, w, max(m) - 1), m)
+
+
+def _closure_checks(alg, w: WPresentation):
     """(label, x, y) for every bracket [x, y] that closure checks: the head
-    pairs (a, b), a < b, and head a with each tail monomial m(t) t^j x_i,
-    labelled (a, ("tail", j, i)), for j < min(k, window - deg m + 1), k the
-    largest power of u in head a."""
+    pairs (a, b), a < b, and head a with each m(t) t^j x_i, labelled
+    (a, ("tail", j, i)), for j < k, k the largest power of u in head a."""
     for a, h in enumerate(w.head):
         for b in range(a + 1, len(w.head)):
             yield (a, b), h, w.head[b]
         k = max((d for (_, d) in h.loop), default=0)
-        steps = min(k, window - w.tail_degree() + 1)
-        tails = tail_monomials(alg, w, w.tail_degree() + steps - 1)
-        for idx, y in enumerate(tails):
+        for idx, y in enumerate(tail_monomials(alg, w, w.tail_degree() + k - 1)):
             yield (a, ("tail", idx // alg.dim, idx % alg.dim)), h, y
 
 
@@ -232,99 +246,83 @@ class LagrangianReport:
 
 
 def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
-    """Isotropy, bracket closure, and transversality on a degree window.
+    """Isotropy, bracket closure and transversality of W = span(heads) +
+    m(t) g[t], each read off finitely many elements of W (module
+    docstring).  ``window`` is only a guard: below the heads' t-degree +
+    deg m + 1 it raises ``InconclusiveWindowError``.  No verdict reads it.
 
-    The window must cover the head generators and one tail step, else the
-    test is inconclusive.  Isotropy is ``isotropy_witness`` over the window
-    elements: the witness is the first nonzero pair and its value.
-
-    Closure works modulo the tail ideal: W is the span of the heads plus
-    m(t) g[t], so a bracket lies in W exactly when its remainder (``rem``)
-    lies in the span of the heads' remainders.  A bracket of two tail
-    monomials lies in the tail ideal, and so does a head times m(t) t^j x
-    unless the head carries a power u^k with k > j.  The head pairs are
-    checked, and each head with largest u power k > 0 against the tail
-    monomials with j < min(k, window - deg m + 1), the ones inside the
-    window; ``closure_witness`` labels the first bracket that leaves W (see
-    ``_closure_checks``).
-
-    Transversality: the canonical x_i u^k, k <= window, are loop key
-    (0, i, -k) plus jet key (1 + k, i) when k < s, independent as their loop
-    keys differ.  With the W window they span the slice, dim g (2 window + 1
-    + s), exactly when the window reduced modulo them (pop (0, i, -k), add -c
-    at (1 + k, i) when k < s) has rank dim g (window + s).
+    Isotropy: ``isotropy_witness`` over the heads and the m(t) t^j x, j <
+    k_max the heads' largest power of u, a prefix of any longer
+    ``window_basis`` holding all its nonzero pairs, so the same witness.
+    Closure: [x, y] lies in W iff its ``rem`` lies in the span of the
+    heads' remainders; ``_closure_checks`` lists the brackets that can fail.
+    Transversality: the canonical basis pairs with the heads through
+    P[j][b] = Q(x_j u^0, h_b) and with the tail as the identity above
+    degree 0.  So W + g[u] is the double iff rank P = dim g, and W meets
+    g[u] = g[u]^perp in 0 iff the heads' remainders have rank P as well.
     """
-    head_deg = max(
-        (max((-d for (_, d) in g.loop), default=0) for g in w.head), default=0
-    )
+    head_deg = max([0] + [-d for g in w.head for (_, d) in g.loop])
     if window < head_deg + w.tail_degree() + 1:
         raise InconclusiveWindowError(
             f"window {window} too small for generators of degree {head_deg} "
             f"and tail of degree {w.tail_degree()}"
         )
-    basis = window_basis(alg, w, window)
-    witness = isotropy_witness(alg, w.spec, basis)
+    w = _over_case_tail(alg, w)
+    k_max = max([0] + [d for g in w.head for (_, d) in g.loop])
+    witness = isotropy_witness(alg, w.spec, window_basis(alg, w, w.tail_degree() + k_max - 1))
 
-    # closure modulo the tail ideal: remainders against the heads' remainders
-    span = RowSpan()
+    span, pmat = RowSpan(), RowSpan()
     for h in w.head:
         span.add(rem(w, h))
+        pmat.add(Sparse((j, v) for (j, _), v in canonical_pairings(alg, w.spec, h, 0).items()))
     closure_witness = next(
-        (label for label, x, y in _closure_checks(alg, w, window)
+        (label for label, x, y in _closure_checks(alg, w)
          if not span.contains(rem(w, de_bracket(alg, w.spec, x, y)))),
         None,
     )
-
-    # transversality: the W window modulo g[u] up to u^window
-    s = w.spec.at_infinity
-    reduced = RowSpan()
-    for el in basis:
-        row = el.coords()
-        for key in [e for e in row if e[0] == 0 and -window <= e[2] <= 0]:
-            c = row.pop(key)
-            if -key[2] < s:
-                row.iadd((1 - key[2], key[1]), -c)
-        reduced.add(row)
-    transversal = reduced.dim == alg.dim * (window + s)
+    transversal = pmat.dim == span.dim == alg.dim
     return LagrangianReport(
         witness is None, closure_witness is None, transversal, witness, closure_witness
     )
 
 
 def dual_basis(alg, w: WPresentation, truncation: int):
-    """Elements of W dual to the canonical basis of g[u] up to a degree.
+    """[(i, k, el)] for every canonical x_i u^k, k <= truncation, with el in
+    W pairing to 1 with x_i u^k and to 0 with every other canonical vector.
 
-    Returns [(basis index, degree, element)] for every canonical vector
-    x u^k with k <= truncation, where the element pairs to 1 with its
-    partner and to 0 with every other canonical vector.  Solved as one
-    exact linear system over the W window: one sparse row per canonical
-    vector the window can pair against, read off the pairing maps of the
-    window elements, with the unknowns 0..n-1 before the right-hand sides
-    n..; a singular system means the presentation is not transversal.
+    For k >= 1, el = m(t) t^{k-1} x^i (module docstring).  For k = 0 each
+    head loses its pairings above degree 0, h' = h - sum_{l >= 1} Q(x_j u^l,
+    h) m(t) t^{l-1} x^j (none past l = s - 1 + h's t-degree), and el =
+    sum_b (P^-1)_{ib} h'_b, solved with the unknowns 0..n-1 before the
+    right-hand sides n..  NotTransversalError: "inconsistent" when some e_i
+    is out of P's reach, "singular" when P has more columns than rank.
     """
-    depth = truncation + 3
-    wbasis = window_basis(alg, w, depth)
-    n = len(wbasis)
-    rows = {(i, k): Sparse() for k in range(depth + 3) for i in range(alg.dim)}
-    for b, wel in enumerate(wbasis):
-        for key, val in canonical_pairings(alg, w.spec, wel, depth + 2).items():
-            rows[key][b] = val
-    wanted = [(i, k) for k in range(truncation + 1) for i in range(alg.dim)]
-    for c, key in enumerate(wanted):
-        rows[key][n + c] = Fraction(1)
+    w = _over_case_tail(alg, w)
+    s, n = w.spec.at_infinity, len(w.head)
+    co = [Sparse((a, g) for a, g in enumerate(row) if g) for row in alg.gram_inv]
+    rows = [Sparse({n + j: 1}) for j in range(alg.dim)]
+    corrected = []
+    for b, h in enumerate(w.head):
+        top = max([0] + [-d for (_, d) in h.loop])
+        for (j, l), val in canonical_pairings(alg, w.spec, h, s - 1 + top).items():
+            if l:
+                h = h - val * tail_element(w, co[j], l - 1)
+            else:
+                rows[j][b] = val
+        corrected.append(h)
     span = RowSpan()
-    for row in rows.values():
+    for row in rows:
         span.add(row)
     if any(piv >= n for piv in span.rows):
         raise NotTransversalError("dual-basis system is inconsistent")
     if span.dim < n:
         raise NotTransversalError("dual-basis system is singular")
-    duals = [DoubleElement(Sparse()) for _ in wanted]
-    for b, wel in enumerate(wbasis):
+    duals = [DoubleElement(Sparse()) for _ in range(alg.dim)]
+    for b, h in enumerate(corrected):
         for c, coeff in span.rows[b].items():
             if c >= n:
-                el = duals[c - n]
-                for mine, theirs in ((el.loop, wel.loop), (el.fin, wel.fin), (el.eps, wel.eps)):
-                    for key, val in theirs.items():
-                        mine.iadd(key, coeff * val)
-    return [(i, k, el) for (i, k), el in zip(wanted, duals)]
+                duals[c - n] += coeff * h
+    return [(i, 0, el) for i, el in enumerate(duals)] + [
+        (i, k, tail_element(w, co[i], k - 1))
+        for k in range(1, truncation + 1) for i in range(alg.dim)
+    ]

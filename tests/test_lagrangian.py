@@ -23,6 +23,7 @@ from lbforge.lagrangian import (
     psi_inverse_lift,
     quotient_ambient,
     rem,
+    tail_monomials,
     tail_poly,
     triangular_complement,
     window_basis,
@@ -567,6 +568,12 @@ def _loop_head(alg, spec, k=0):
     return WPresentation(spec, [embed_canonical(spec, basis_element(0), k), *w.head[1:]], w.tail)
 
 
+def _repeated_head(alg, spec):
+    # a copy of the first head appended: the same W, presented redundantly
+    w = catalog_w0(alg, spec)
+    return WPresentation(spec, [*w.head, w.head[0]], w.tail)
+
+
 def _mixed_heads(alg, spec, rng):
     # one head replaced by a combination of two heads, possibly itself
     w = catalog_w0(alg, spec)
@@ -594,15 +601,60 @@ def test_transversality_matches_slice_oracle(text):
     spec = CaseSpec.parse(text)
     seen = set()
     for alg in ALGS.values():
-        ws = [catalog_w0(alg, spec), _duplicated_head(alg, spec), _loop_head(alg, spec),
-              _loop_head(alg, spec, 4), _loop_head(alg, spec, 6)]
+        ws = [catalog_w0(alg, spec), _duplicated_head(alg, spec), _repeated_head(alg, spec),
+              _loop_head(alg, spec), _loop_head(alg, spec, 4), _loop_head(alg, spec, 6)]
         ws += [_mixed_heads(alg, spec, rng) for _ in range(6)]
         for w in ws:
+            # the slice misses a head's u^k beyond its window, so it must reach k
+            k = max([0] + [d for g in w.head for (_, d) in g.loop])
             for window in (4, 6):
                 got = is_lagrangian(alg, w, window).transversal
-                assert got == _slice_transversal(alg, w, window)
+                assert got == _slice_transversal(alg, w, max(window, k))
                 seen.add(got)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("text", ALL_CASES)
+def test_head_in_g_u_beyond_window_is_caught(text):
+    # x_0 u^10 lies in g[u] and pairs with m(t) t^9 x^0: neither isotropic nor
+    # transversal, whether or not the window reaches u^10
+    spec = CaseSpec.parse(text)
+    w = _loop_head(ALG, spec, 10)
+    for window in (6, 12):
+        report = is_lagrangian(ALG, w, window)
+        assert report.isotropic is False and report.transversal is False
+
+
+def test_tail_ideal_must_contain_case_tail():
+    spec = CaseSpec.parse("I:constant")
+    w = catalog_w0(ALG, spec)
+    scaled = WPresentation(spec, w.head, 2 * w.tail)
+    assert dual_basis(ALG, scaled, 3) == dual_basis(ALG, w, 3)
+    assert is_lagrangian(ALG, scaled, 6) == is_lagrangian(ALG, w, 6)
+    smaller = WPresentation(spec, w.head, poly1({3: 1}))  # t^3 g[t] misses t^2 g
+    for call in (lambda: dual_basis(ALG, smaller, 1), lambda: is_lagrangian(ALG, smaller, 6)):
+        with pytest.raises(InvalidParameterError, match="must contain m"):
+            call()
+
+
+def _duals_or_error(alg, w, truncation):
+    try:
+        return dual_basis(alg, w, truncation)
+    except NotTransversalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_presentations(), st.integers(0, 4))
+def test_verdicts_do_not_depend_on_window(case, truncation):
+    alg, w = case
+    assert is_lagrangian(alg, w, 6) == is_lagrangian(alg, w, 10)
+    short = _duals_or_error(alg, w, truncation)
+    longer = _duals_or_error(alg, w, truncation + 2)
+    if isinstance(short, str):
+        assert longer == short
+    else:
+        assert longer[: len(short)] == short
 
 
 def test_window_too_small():
@@ -704,6 +756,19 @@ def test_dual_basis_matches_dense_oracle(text):
     alg = build_sl(3)
     w = catalog_w0(alg, CaseSpec.parse(text))
     assert dual_basis(alg, w, 6) == _dense_dual_basis(alg, w, 6)
+
+
+@pytest.mark.parametrize("text", ALL_CASES)
+def test_dual_basis_of_shifted_head(text):
+    # head 0 plus m(t) t^4 x_last spans the same W; the shifted head pairs
+    # with x_last u^5, above the truncation, and the tail cancels that pairing
+    spec = CaseSpec.parse(text)
+    w = catalog_w0(ALG, spec)
+    shifted = w.head[0] + tail_monomials(ALG, w, w.tail_degree() + 4)[-1]
+    w2 = WPresentation(spec, [shifted, *w.head[1:]], w.tail)
+    assert is_lagrangian(ALG, w2, 10).ok
+    for truncation in (0, 2, 6):
+        assert dual_basis(ALG, w2, truncation) == dual_basis(ALG, w, truncation)
 
 
 def test_dual_basis_not_transversal():

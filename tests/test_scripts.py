@@ -51,7 +51,9 @@ def test_build_all_families_degree_is_ascii_digits(tmp_path, capsys):
     # an int() option would read " 1_0" as 10 and exit 0
     argv = ["--degree", " 1_0", "--outdir", str(tmp_path)]
     assert build_all_families_script.main(argv) == 2
-    assert "error: --degree: not a decimal integer: ' 1_0'\n" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == "error: --degree: not a decimal integer: ' 1_0'\n"
+    assert captured.out == "" and not any(tmp_path.iterdir())
 
 
 def test_axiom_sweep_reports_milliseconds(tmp_path, capsys):
