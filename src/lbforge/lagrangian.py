@@ -251,9 +251,9 @@ def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
     docstring).  ``window`` is only a guard: below the heads' t-degree +
     deg m + 1 it raises ``InconclusiveWindowError``.  No verdict reads it.
 
-    Isotropy: ``isotropy_witness`` over the heads and the m(t) t^j x, j <
-    k_max the heads' largest power of u, a prefix of any longer
-    ``window_basis`` holding all its nonzero pairs, so the same witness.
+    Isotropy: ``isotropy_witness`` over the heads and the m(t) t^j x with
+    j < k_max (the heads' largest power of u): a prefix of any longer
+    ``window_basis`` that holds all of its nonzero pairs, so one witness.
     Closure: [x, y] lies in W iff its ``rem`` lies in the span of the
     heads' remainders; ``_closure_checks`` lists the brackets that can fail.
     Transversality: the canonical basis pairs with the heads through
