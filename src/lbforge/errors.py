@@ -37,9 +37,5 @@ class NotTransversalError(LbforgeError):
     pass
 
 
-class InconclusiveWindowError(LbforgeError):
-    pass
-
-
 class MalformedInputError(LbforgeError):
     pass

@@ -21,6 +21,10 @@ delta_ij delta_kl.  Likewise Q(h, m(t) t^j x) = K(h_{j+1}, x), h_{j+1} the
 coefficient of u^{j+1} in h, and two tail monomials pair to
 Res u^{-2-j-j'}(...) = 0.  So the Lagrangian check and the dual basis read
 finitely many elements of W, fixed by the heads: no degree window.
+
+W's tail is the case's m(t).  The check and the duals share one pass over
+the heads (``_head_pass``) that keeps those whose remainders modulo m(t) are
+independent, so a redundant head changes no verdict and no dual.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InconclusiveWindowError, InvalidParameterError, NotTransversalError
+from .errors import InvalidParameterError, NotTransversalError
 from .liealg import LieAlgebraData, basis_element, bracket, bracket_poly
 from .pairing import CaseSpec, DoubleElement, canonical_pairings, pairing_map
 from .ratfun import poly1
@@ -37,15 +41,20 @@ from .sparse import RowSpan, Sparse, poly_mul
 
 @dataclass
 class WPresentation:
-    """Head generators plus the tail ideal m(t) g[t], t = u^{-1}.
+    """Head generators plus the case's tail ideal m(t) g[t], t = u^{-1}.
 
-    ``tail`` is m as a polynomial in t with m != 0; the constant m = 1
-    puts all of g[u^{-1}] inside W (the dual-number type III shape).
+    ``tail`` is ``tail_poly(spec)`` as a polynomial in t, else
+    ``InvalidParameterError``; the constant m = 1 puts all of g[u^{-1}]
+    inside W (the dual-number type III shape).
     """
 
     spec: CaseSpec
     head: list
     tail: Sparse
+
+    def __post_init__(self):
+        if self.tail != tail_poly(self.spec):
+            raise InvalidParameterError("the tail must be the case's m(t)")
 
     def tail_degree(self):
         return max(self.tail)
@@ -187,14 +196,14 @@ def de_bracket(alg, spec, x: DoubleElement, y: DoubleElement) -> DoubleElement:
 def rem(w: WPresentation, el: DoubleElement) -> Sparse:
     """``el.coords()`` with the loop part in g[t] reduced modulo m(t).
 
-    Long division in t = u^{-1}, separately for each basis index; positive
-    powers of u, ``fin`` and ``eps`` pass through.  Two elements have the
+    Long division by the monic m in t = u^{-1}, separately for each basis
+    index; positive powers of u, ``fin`` and ``eps`` pass through.  Two elements have the
     same remainder exactly when they differ by an element of the tail ideal
     m(t) g[t].
     """
     out = el.coords()
     mdeg = w.tail_degree()
-    lower = [(d, c / w.tail[mdeg]) for d, c in w.tail.items() if d < mdeg]
+    lower = [(d, c) for d, c in w.tail.items() if d < mdeg]
     tops = {}
     for (i, d) in el.loop:
         if -d >= mdeg:
@@ -207,17 +216,6 @@ def rem(w: WPresentation, el: DoubleElement) -> Sparse:
                 for d, cm in lower:
                     out.iadd((0, i, k - mdeg + d), -c * cm)
     return out
-
-
-def _over_case_tail(alg, w: WPresentation) -> WPresentation:
-    """W over the case's tail m(t): a tail m'(t) dividing m(t) moves its
-    m'(t) t^j x_i, deg m' + j < deg m, to the heads; other tails raise."""
-    m = tail_poly(w.spec)
-    if w.tail == m:
-        return w
-    if rem(w, DoubleElement(_loop_from_tpoly(basis_element(0), m))):
-        raise InvalidParameterError("the tail ideal must contain m(t) g[t]")
-    return WPresentation(w.spec, window_basis(alg, w, max(m) - 1), m)
 
 
 def _closure_checks(alg, w: WPresentation):
@@ -245,36 +243,40 @@ class LagrangianReport:
         return self.isotropic and self.closed and self.transversal
 
 
-def is_lagrangian(alg, w: WPresentation, window: int) -> LagrangianReport:
+def _head_pass(alg, w: WPresentation):
+    """(span, kept): span the ``RowSpan`` of the heads' remainders, kept the
+    heads whose remainder enlarges it, in order, each as (h, Q(x_j u^l, h)
+    by ``canonical_pairings``) up to l = s - 1 + h's t-degree, past which h
+    pairs with nothing."""
+    span, kept = RowSpan(), []
+    for h in w.head:
+        if span.add(rem(w, h)):
+            top = max([0] + [-d for (_, d) in h.loop])
+            kept.append((h, canonical_pairings(alg, w.spec, h, w.spec.at_infinity - 1 + top)))
+    return span, kept
+
+
+def is_lagrangian(alg, w: WPresentation, window=None) -> LagrangianReport:
     """Isotropy, bracket closure and transversality of W = span(heads) +
     m(t) g[t], each read off finitely many elements of W (module
-    docstring).  ``window`` is only a guard: below the heads' t-degree +
-    deg m + 1 it raises ``InconclusiveWindowError``.  No verdict reads it.
+    docstring).  ``window`` is not read.
 
     Isotropy: ``isotropy_witness`` over the heads and the m(t) t^j x with
     j < k_max (the heads' largest power of u): a prefix of any longer
     ``window_basis`` that holds all of its nonzero pairs, so one witness.
     Closure: [x, y] lies in W iff its ``rem`` lies in the span of the
     heads' remainders; ``_closure_checks`` lists the brackets that can fail.
-    Transversality: the canonical basis pairs with the heads through
-    P[j][b] = Q(x_j u^0, h_b) and with the tail as the identity above
-    degree 0.  So W + g[u] is the double iff rank P = dim g, and W meets
-    g[u] = g[u]^perp in 0 iff the heads' remainders have rank P as well.
+    Transversality: the canonical basis pairs with the heads ``_head_pass``
+    keeps through P[j][b] = Q(x_j u^0, h_b) and with the tail as the
+    identity above degree 0.  So W + g[u] is the double iff rank P = dim g,
+    and W meets g[u] = g[u]^perp in 0 iff rank P heads are kept as well.
     """
-    head_deg = max([0] + [-d for g in w.head for (_, d) in g.loop])
-    if window < head_deg + w.tail_degree() + 1:
-        raise InconclusiveWindowError(
-            f"window {window} too small for generators of degree {head_deg} "
-            f"and tail of degree {w.tail_degree()}"
-        )
-    w = _over_case_tail(alg, w)
     k_max = max([0] + [d for g in w.head for (_, d) in g.loop])
     witness = isotropy_witness(alg, w.spec, window_basis(alg, w, w.tail_degree() + k_max - 1))
-
-    span, pmat = RowSpan(), RowSpan()
-    for h in w.head:
-        span.add(rem(w, h))
-        pmat.add(Sparse((j, v) for (j, _), v in canonical_pairings(alg, w.spec, h, 0).items()))
+    span, kept = _head_pass(alg, w)
+    pmat = RowSpan()
+    for _, pairs in kept:
+        pmat.add(Sparse((j, v) for (j, l), v in pairs.items() if l == 0))
     closure_witness = next(
         (label for label, x, y in _closure_checks(alg, w)
          if not span.contains(rem(w, de_bracket(alg, w.spec, x, y)))),
@@ -291,20 +293,20 @@ def dual_basis(alg, w: WPresentation, truncation: int):
     W pairing to 1 with x_i u^k and to 0 with every other canonical vector.
 
     For k >= 1, el = m(t) t^{k-1} x^i (module docstring).  For k = 0 each
-    head loses its pairings above degree 0, h' = h - sum_{l >= 1} Q(x_j u^l,
-    h) m(t) t^{l-1} x^j (none past l = s - 1 + h's t-degree), and el =
-    sum_b (P^-1)_{ib} h'_b, solved with the unknowns 0..n-1 before the
-    right-hand sides n..  NotTransversalError: "inconsistent" when some e_i
-    is out of P's reach, "singular" when P has more columns than rank.
+    head that ``_head_pass`` keeps loses its pairings above degree 0, h' =
+    h - sum_{l >= 1} Q(x_j u^l, h) m(t) t^{l-1} x^j, and el = sum_b
+    (P^-1)_{ib} h'_b over the kept heads, solved with the unknowns 0..n-1
+    before the right-hand sides n..  NotTransversalError exactly when
+    ``is_lagrangian`` reads W as not transversal: "inconsistent" when some
+    e_i is out of P's reach, "singular" when P has more columns than rank.
     """
-    w = _over_case_tail(alg, w)
-    s, n = w.spec.at_infinity, len(w.head)
+    _, kept = _head_pass(alg, w)
+    n = len(kept)
     co = [Sparse((a, g) for a, g in enumerate(row) if g) for row in alg.gram_inv]
     rows = [Sparse({n + j: 1}) for j in range(alg.dim)]
     corrected = []
-    for b, h in enumerate(w.head):
-        top = max([0] + [-d for (_, d) in h.loop])
-        for (j, l), val in canonical_pairings(alg, w.spec, h, s - 1 + top).items():
+    for b, (h, pairs) in enumerate(kept):
+        for (j, l), val in pairs.items():
             if l:
                 h = h - val * tail_element(w, co[j], l - 1)
             else:

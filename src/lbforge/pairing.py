@@ -49,6 +49,7 @@ over D_y * D_t at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -128,11 +129,12 @@ class CaseSpec:
             return (self.c1, self.c2)
         return FAMILY_POINTS[(double_type, self.a_form)]
 
-    @property
+    @cached_property
     def points(self) -> tuple:
         """The family's two points (c1, c2) on the projective line, None for
         infinity; defined for the combinations ``validate_case`` accepts,
-        ``InvalidParameterError`` with its rejection for the others."""
+        ``InvalidParameterError`` with its rejection for the others.  Kept
+        in the frozen instance's ``__dict__`` once read."""
         reason = validate_case(self)
         if reason is not None:
             raise InvalidParameterError(reason)

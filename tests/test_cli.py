@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import lbforge
-from lbforge import cli, serialize
+from lbforge import cli, pairing, serialize
 from lbforge.errors import LbforgeError, MalformedInputError
 from lbforge.cli import main
 from lbforge.lagrangian import WPresentation, catalog_w0
@@ -397,6 +397,22 @@ def test_build_rejects_illegal_case(capsys):
         code = main(["build", "--case", "II:two-points:1,2", *constant])
         assert code == 2
         assert "degree at most 1" in capsys.readouterr().err
+
+
+def test_build_validates_the_case_once(tmp_path, monkeypatch):
+    # cli.parse_case rejects through CaseSpec.points, which the spec keeps:
+    # the catalog constant part, the lift and build_r read the points again
+    calls = []
+    validate = pairing.validate_case
+
+    def counted(spec):
+        calls.append(spec)
+        return validate(spec)
+
+    monkeypatch.setattr(pairing, "validate_case", counted)
+    monkeypatch.setattr(cli, "validate_case", counted, raising=False)
+    assert main(["build", "--case", "I:two-points:1,2", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_build_empty_case_is_config_error(capsys):

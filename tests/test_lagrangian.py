@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbforge.errors import (
-    InconclusiveWindowError,
-    InvalidParameterError,
-    NotTransversalError,
-    ShapeMismatchError,
-)
+from lbforge.errors import InvalidParameterError, NotTransversalError, ShapeMismatchError
 from lbforge.liealg import basis_element, bracket, build_sl
 from lbforge.lagrangian import (
     WPresentation,
@@ -407,10 +402,11 @@ def test_isotropy_witness_is_first_nonzero_q_form(corrupt, n):
 
 
 def test_full_negative_half_fails_isotropy():
-    # g[u^{-1}] itself is not isotropic for the constant weight
+    # g[u^{-1}] itself, heads x_i and x_i t over the tail t^2 g[t], is not
+    # isotropic for the constant weight
     spec = CaseSpec.parse("I:constant")
-    w = WPresentation(spec, [], poly1([1]))
-    report = is_lagrangian(ALG, w, 6)
+    head = [DoubleElement(Sparse({(i, -d): 1})) for d in (0, 1) for i in range(ALG.dim)]
+    report = is_lagrangian(ALG, WPresentation(spec, head, tail_poly(spec)), 6)
     assert not report.isotropic
 
 
@@ -462,10 +458,16 @@ ALGS = {n: build_sl(n) for n in (2, 3)}
 EXTRA_PARTS = {"I": [], "II": ["fin"], "III": ["fin", "eps"]}
 
 
+def _reach(w):
+    """A window that reaches every head for the windowed oracles: past the
+    heads' largest power of u and their t-degree, each plus deg m."""
+    return max([6] + [abs(d) + w.tail_degree() for g in w.head for (_, d) in g.loop])
+
+
 @st.composite
 def perturbed_presentations(draw):
     """A catalog W at sl_2 or sl_3 with one to three edits: a loop term of
-    u-degree -2..2 added to a head, a finite or dual-number part added
+    u-degree -2..10 added to a head, a finite or dual-number part added
     (types II and III), or a head dropped."""
     alg = ALGS[draw(st.sampled_from([2, 3]))]
     spec = CaseSpec.parse(draw(st.sampled_from(ALL_CASES)))
@@ -480,7 +482,7 @@ def perturbed_presentations(draw):
         if kind == "drop":
             del head[a]
         elif kind == "loop":
-            term = Sparse({(i, draw(st.integers(-2, 2))): c})
+            term = Sparse({(i, draw(st.integers(-2, 10))): c})
             head[a] = DoubleElement(g.loop + term, g.fin, g.eps)
         elif kind == "fin":
             head[a] = DoubleElement(g.loop, g.fin + Sparse({i: c}), g.eps)
@@ -494,9 +496,10 @@ def perturbed_presentations(draw):
 def test_closure_matches_windowed_oracle(case):
     alg, w = case
     report = is_lagrangian(alg, w, 6)
-    want = _windowed_closure_witness(alg, w, 6)
+    want = _windowed_closure_witness(alg, w, _reach(w))
     assert report.closure_witness == want
     assert report.closed is (want is None)
+    assert report.transversal == _slice_transversal(alg, w, _reach(w))
 
 
 def test_remainder_reduces_refilled_degrees():
@@ -611,6 +614,8 @@ def test_transversality_matches_slice_oracle(text):
                 got = is_lagrangian(alg, w, window).transversal
                 assert got == _slice_transversal(alg, w, max(window, k))
                 seen.add(got)
+            # dual_basis raises exactly when W is not transversal
+            assert isinstance(_duals_or_error(alg, w, 2), str) is (not got)
     assert seen == {True, False}
 
 
@@ -626,15 +631,13 @@ def test_head_in_g_u_beyond_window_is_caught(text):
 
 
 def test_tail_ideal_must_contain_case_tail():
+    # W's tail is the case's m(t) = t^2: a scaled m, a smaller ideal t^3 g[t]
+    # and a larger one g[t] are rejected when the presentation is built
     spec = CaseSpec.parse("I:constant")
     w = catalog_w0(ALG, spec)
-    scaled = WPresentation(spec, w.head, 2 * w.tail)
-    assert dual_basis(ALG, scaled, 3) == dual_basis(ALG, w, 3)
-    assert is_lagrangian(ALG, scaled, 6) == is_lagrangian(ALG, w, 6)
-    smaller = WPresentation(spec, w.head, poly1({3: 1}))  # t^3 g[t] misses t^2 g
-    for call in (lambda: dual_basis(ALG, smaller, 1), lambda: is_lagrangian(ALG, smaller, 6)):
-        with pytest.raises(InvalidParameterError, match="must contain m"):
-            call()
+    for tail in (2 * w.tail, poly1({3: 1}), poly1([1])):
+        with pytest.raises(InvalidParameterError, match="the case's m"):
+            WPresentation(spec, w.head, tail)
 
 
 def _duals_or_error(alg, w, truncation):
@@ -648,8 +651,10 @@ def _duals_or_error(alg, w, truncation):
 @given(perturbed_presentations(), st.integers(0, 4))
 def test_verdicts_do_not_depend_on_window(case, truncation):
     alg, w = case
-    assert is_lagrangian(alg, w, 6) == is_lagrangian(alg, w, 10)
+    report = is_lagrangian(alg, w, 6)
+    assert report == is_lagrangian(alg, w, 10)
     short = _duals_or_error(alg, w, truncation)
+    assert isinstance(short, str) is (not report.transversal)
     longer = _duals_or_error(alg, w, truncation + 2)
     if isinstance(short, str):
         assert longer == short
@@ -657,10 +662,11 @@ def test_verdicts_do_not_depend_on_window(case, truncation):
         assert longer[: len(short)] == short
 
 
-def test_window_too_small():
-    spec = tp()
-    with pytest.raises(InconclusiveWindowError):
-        is_lagrangian(ALG, catalog_w0(ALG, spec), 2)
+@pytest.mark.parametrize("text", ALL_CASES)
+def test_small_window_gives_the_same_report(text):
+    # the window is not read: below the heads' t-degree + deg m + 1 too
+    w = catalog_w0(ALG, CaseSpec.parse(text))
+    assert is_lagrangian(ALG, w, 2) == is_lagrangian(ALG, w, 6) == is_lagrangian(ALG, w)
 
 
 # -- dual bases ---------------------------------------------------------------
@@ -779,10 +785,24 @@ def test_dual_basis_not_transversal():
         dual_basis(ALG, w, 1)
 
 
-def test_dual_basis_singular():
-    # a repeated head generator makes two unknowns of the system equal
-    spec = CaseSpec.parse("I:constant")
+@pytest.mark.parametrize("text", ALL_CASES)
+def test_dual_basis_singular(text):
+    # the catalog heads plus x_0 u^0, a head in g[u]: P keeps rank dim g
+    # over one more independent head
+    spec = CaseSpec.parse(text)
     w = catalog_w0(ALG, spec)
-    w = WPresentation(spec, w.head + w.head[:1], w.tail)
+    w = WPresentation(spec, [*w.head, embed_canonical(spec, basis_element(0), 0)], w.tail)
+    assert is_lagrangian(ALG, w).transversal is False
     with pytest.raises(NotTransversalError, match="singular"):
         dual_basis(ALG, w, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("text", ALL_CASES)
+def test_dual_basis_of_repeated_head(text, n):
+    # a copy of head 0 appended presents the same W: the duals are the catalog's
+    alg = ALGS[n]
+    w = _repeated_head(alg, CaseSpec.parse(text))
+    assert is_lagrangian(alg, w).ok
+    for truncation in (0, 2, 6):
+        assert dual_basis(alg, w, truncation) == dual_basis(alg, catalog_w0(alg, w.spec), truncation)
