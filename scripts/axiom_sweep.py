@@ -4,10 +4,11 @@
 Writes a JSON list of {"family", "element", "check", "pass"} records and
 prints a per-family summary with its time in milliseconds.  Degree caps
 are flag-controlled; defaults match the acceptance suite (4 on sl_2, 2 on
-sl_3).  Exits 0 when every record passes, 1 when one fails, and 2 with an
-``error:`` line on an invalid rank or degree: the flags are integers in
+sl_3).  Exits 0 when every record passes, 1 when one fails, 2 with an
+``error:`` line on an invalid rank or degree (the flags are integers in
 ASCII digits after at most one '-', and a negative degree is rejected by
-the sweep itself.
+the sweep itself), and 3 with an ``error:`` line when the output file
+cannot be written.
 """
 
 import argparse
@@ -37,8 +38,12 @@ def main(argv=None):
     except LbforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(records, fh, indent=2)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     print(f"wrote {len(records)} records to {args.out}")
     return 0 if all(rec["pass"] for rec in records) else 1
 

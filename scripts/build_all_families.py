@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Emit the closed-form r-matrix of every case family as JSON, then verify
-each file through the CLI pipeline (CYBE, unitarity, duality, series)."""
+each file through the CLI pipeline (CYBE, unitarity, duality, series).
+
+Exits with the largest exit code of the builds and verifies (0 when all
+pass, 1 when a check fails), 2 with an ``error:`` line on a ``--degree``
+that is not an integer in ASCII digits, and 3 with an ``error:`` line when
+the output directory cannot be made."""
 
 import argparse
 import pathlib
 import sys
 
-from lbforge.cli import EXIT_BAD_CONFIG, parse_natural
+from lbforge.cli import EXIT_BAD_CONFIG, EXIT_IO, parse_natural
 from lbforge.cli import main as cli_main
 from lbforge.errors import InvalidParameterError
 from lbforge.pairing import FAMILY_POINTS
@@ -29,7 +34,11 @@ def main(argv=None):
         return EXIT_BAD_CONFIG
 
     outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     worst = 0
     for case in FAMILIES:
         slug = case.replace(":", "_").replace(",", "_")

@@ -100,11 +100,13 @@ def parse_constant_r(alg, spec, text) -> RKind:
     if text == "jordanian" or text.startswith("jordanian:"):
         root = None
         if ":" in text:
+            parts = text.split(":", 1)[1].split(",")
+            if len(parts) != 2:
+                raise InvalidParameterError(f"--r: expected jordanian:i,j, got {text!r}")
             try:
-                i, j = (natural(p) for p in text.split(":", 1)[1].split(","))
+                root = tuple(natural(p) for p in parts)
             except ValueError as exc:
                 raise InvalidParameterError(str(exc)) from exc
-            root = (i, j)
         return RKind.skew(alg, jordanian(alg, root))
     if text.startswith("file:"):
         doc = serialize.load(text[5:])

@@ -275,6 +275,15 @@ def test_non_canonical_integer_is_config_error(monkeypatch, capsys, where, value
     assert repr(value) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("root", ["1", "1,2,3"], ids=["one index", "three indices"])
+def test_jordanian_root_needs_two_indices(capsys, root):
+    argv = ["build", "--case", "I:constant", "--r", f"jordanian:{root}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --r: expected jordanian:i,j, got 'jordanian:{root}'\n"
+
+
 @pytest.mark.parametrize(
     "value", ["1_0", " 2 ", "\u0662", "-1"],
     ids=["underscore", "spaces", "non-ascii digit", "negative"],

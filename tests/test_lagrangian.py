@@ -482,7 +482,9 @@ def perturbed_presentations(draw):
         if kind == "drop":
             del head[a]
         elif kind == "loop":
-            term = Sparse({(i, draw(st.integers(-2, 10))): c})
+            # the top degrees are a branch of their own: hypothesis favours small
+            # integers, and one range -2..10 seldom reached u^9 or u^10
+            term = Sparse({(i, draw(st.one_of(st.integers(-2, 8), st.integers(9, 10)))): c})
             head[a] = DoubleElement(g.loop + term, g.fin, g.eps)
         elif kind == "fin":
             head[a] = DoubleElement(g.loop, g.fin + Sparse({i: c}), g.eps)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -65,6 +66,40 @@ def test_axiom_sweep_reports_milliseconds(tmp_path, capsys):
     assert all(line.endswith(" ms)") for line in lines[:-1])
     records = json.loads(out.read_text())
     assert records and all(rec["pass"] for rec in records)
+
+
+@pytest.mark.parametrize(
+    "algebra, digest",
+    [
+        ("2", "6868e0be186b6de007c2b5ac4e5c6209d26343cbf4affe839bc65c2294aa99db"),
+        ("3", "9ec7a1f5ddb6419c1f53a7509f681a00229eb67b4dec290c17b7f11c529775d5"),
+    ],
+)
+def test_axiom_sweep_bytes_are_pinned(tmp_path, capsys, algebra, digest):
+    # the criterion-6 sweep at its default degree caps: 882 records at sl_2, 4,536 at sl_3
+    out = tmp_path / "sweep.json"
+    assert axiom_sweep_script.main(["--algebra", algebra, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_axiom_sweep_unwritable_output_exits_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "sweep.json"
+    argv = ["--degree", "0", "--cocycle-degree", "0", "--out", str(out)]
+    assert axiom_sweep_script.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+    assert not out.exists()
+
+
+def test_build_all_families_unwritable_outdir_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    outdir = blocker / "out"
+    assert build_all_families_script.main(["--outdir", str(outdir)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 def test_bench_compare_reports_pair_ratios_and_base_spread():
