@@ -103,10 +103,7 @@ def parse_constant_r(alg, spec, text) -> RKind:
             parts = text.split(":", 1)[1].split(",")
             if len(parts) != 2:
                 raise InvalidParameterError(f"--r: expected jordanian:i,j, got {text!r}")
-            try:
-                root = tuple(natural(p) for p in parts)
-            except ValueError as exc:
-                raise InvalidParameterError(str(exc)) from exc
+            root = tuple(parse_natural(p, "--r") for p in parts)
         return RKind.skew(alg, jordanian(alg, root))
     if text.startswith("file:"):
         doc = serialize.load(text[5:])

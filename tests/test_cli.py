@@ -275,13 +275,21 @@ def test_non_canonical_integer_is_config_error(monkeypatch, capsys, where, value
     assert repr(value) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("root", ["1", "1,2,3"], ids=["one index", "three indices"])
-def test_jordanian_root_needs_two_indices(capsys, root):
+@pytest.mark.parametrize(
+    "root, message",
+    [
+        ("1", "expected jordanian:i,j, got 'jordanian:1'"),
+        ("1,2,3", "expected jordanian:i,j, got 'jordanian:1,2,3'"),
+        ("1,x", "not a decimal integer: 'x'"),
+    ],
+    ids=["one index", "three indices", "not an index"],
+)
+def test_jordanian_root_is_two_indices(capsys, root, message):
     argv = ["build", "--case", "I:constant", "--r", f"jordanian:{root}"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --r: expected jordanian:i,j, got 'jordanian:{root}'\n"
+    assert captured.err == f"error: --r: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -482,8 +482,8 @@ def perturbed_presentations(draw):
         if kind == "drop":
             del head[a]
         elif kind == "loop":
-            # the top degrees are a branch of their own: hypothesis favours small
-            # integers, and one range -2..10 seldom reached u^9 or u^10
+            # u^9 and u^10 are a branch of their own: hypothesis favours small
+            # integers, so within one range -2..10 they are seldom drawn
             term = Sparse({(i, draw(st.one_of(st.integers(-2, 8), st.integers(9, 10)))): c})
             head[a] = DoubleElement(g.loop + term, g.fin, g.eps)
         elif kind == "fin":
