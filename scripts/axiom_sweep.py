@@ -6,9 +6,10 @@ prints a per-family summary with its time in milliseconds.  Degree caps
 are flag-controlled; defaults match the acceptance suite (4 on sl_2, 2 on
 sl_3).  Exits 0 when every record passes, 1 when one fails, 2 with an
 ``error:`` line on an invalid rank or degree (the flags are integers in
-ASCII digits after at most one '-', and a negative degree is rejected by
-the sweep itself), and 3 with an ``error:`` line when the output file
-cannot be written.
+ASCII digits after at most one '-', and a degree must be >= 0), and 3 with
+an ``error:`` line when the output file cannot be opened for writing.  The
+flags are read, then the output file is opened, then the families are
+swept, so a bad flag or path costs no sweep.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import json
 import sys
 import time
 
-from lbforge.cobracket import axiom_sweep
+from lbforge.cobracket import axiom_sweep, sweep_degrees
 from lbforge.errors import InvalidParameterError, LbforgeError
 from lbforge.liealg import build_sl
 from lbforge.pairing import FAMILY_POINTS, CaseSpec
@@ -34,16 +35,22 @@ def main(argv=None):
     parser.add_argument("--out", default="axiom_sweep.json")
     args = parser.parse_args(argv)
     try:
-        records = sweep_all(args)
+        alg, cap, cocycle_degree = read_flags(args)
     except LbforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=2)
+        fh = open(args.out, "w", encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    with fh:
+        records = sweep_all(alg, cap, cocycle_degree)
+        try:
+            json.dump(records, fh, indent=2)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
     print(f"wrote {len(records)} records to {args.out}")
     return 0 if all(rec["pass"] for rec in records) else 1
 
@@ -56,11 +63,16 @@ def integer(text, flag):
         raise InvalidParameterError(f"{flag}: {exc}") from None
 
 
-def sweep_all(args):
+def read_flags(args):
+    """(sl_n, degree cap, cocycle degree) of the three integer flags."""
     n = integer(args.algebra, "--algebra")
     alg = build_sl(n)
     cap = integer(args.degree, "--degree") if args.degree is not None else (4 if n == 2 else 2)
     cocycle_degree = integer(args.cocycle_degree, "--cocycle-degree")
+    return (alg, *sweep_degrees(cap, cocycle_degree))
+
+
+def sweep_all(alg, cap, cocycle_degree):
     records = []
     for text in FAMILIES:
         spec = CaseSpec.parse(text)

@@ -15,9 +15,10 @@ whose ``BasisCobrackets`` scales the lift by the lcm L of its denominators:
 sl_n structure constants are integers and (v - u) is monic, so every sweep
 value is an int.  delta is linear in r and the checks are homogeneous in it
 (degree 1: polynomiality, skew, cocycle; degree 2: co-Jacobi), so L changes
-no verdict.  A sweep forms one ad table, the rows of [x, b_i], per basis x,
-and checks the cocycle once per unordered pair of generators: [g, f] =
--[f, g] and delta is linear, so the (g, f) identity is the (f, g) one negated.
+no verdict.  The ad-action reads the algebra's integer ad table
+(``alg.ad``, formed once per n by ``build_sl``), and a sweep checks the
+cocycle once per unordered pair of generators: [g, f] = -[f, g] and delta is
+linear, so the (g, f) identity is the (f, g) one negated.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import InvalidParameterError, NotPolynomialError
-from .liealg import LieAlgebraData, bracket_basis, bracket_poly
+from .liealg import LieAlgebraData, bracket_poly
 from .ratfun import mul_vu_pow, poly2_divide_vu
 from .rmatrix import SpectralTensor2
 from .sparse import Sparse
@@ -43,19 +44,19 @@ def lift(r: SpectralTensor2):
                        for mono, c in mul_vu_pow(val.num, top - val.den_pow).items())
 
 
-def delta(alg: LieAlgebraData, r: SpectralTensor2, f, lifted=None, ad=None):
+def delta(alg: LieAlgebraData, r: SpectralTensor2, f, lifted=None):
     """The cobracket value on f, a flat 2-tensor keyed (i, j, deg_u, deg_v).
 
     r is put over one (v - u)^top (``lifted`` is ``lift(r)``, or a multiple
-    of it, if given), the ad-action of f (rows ``ad`` as in ``_ad_into``) is
-    applied to the numerators, and the result, of the numerators' type, is
-    certified polynomial by exact division by (v - u), top times.
+    of it, if given), the ad-action of f is applied to the numerators, and
+    the result, of the numerators' type, is certified polynomial by exact
+    division by (v - u), top times.
     """
     if any(d < 0 for (_, d) in f):
         raise InvalidParameterError("f must be polynomial in u")
     top, nums = lift(r) if lifted is None else lifted
     out = {}
-    _ad_into(alg, out, f, nums, 1, ad)
+    _ad_into(alg, out, f, nums, 1)
     out = type(nums)((k, c) for k, c in out.items() if c)
     for _ in range(top):
         out, rem = poly2_divide_vu(out)
@@ -75,8 +76,7 @@ class BasisCobrackets:
     check that takes its cobrackets from here gives r's verdict.  A basis
     cobracket that is not polynomial is stored as None, once, and every
     delta that needs it is None too.  The returned tensors may be the
-    stored ones: callers must not mutate them.  ``ad`` is the table of
-    ``_ad_rows`` for every basis index, formed once per instance.
+    stored ones: callers must not mutate them.
     """
 
     def __init__(self, alg: LieAlgebraData, r: SpectralTensor2):
@@ -85,13 +85,12 @@ class BasisCobrackets:
         top, nums = lift(r)
         self.scale = lcm(*(c.denominator for c in nums.values()))
         self._lifted = top, {k: (c * self.scale).numerator for k, c in nums.items()}
-        self.ad = [_ad_rows(alg, x) for x in range(alg.dim)]
         self._memo = {}
 
     def basis(self, key):
         if key not in self._memo:
             try:
-                self._memo[key] = delta(self.alg, self.r, {key: 1}, lifted=self._lifted, ad=self.ad)
+                self._memo[key] = delta(self.alg, self.r, {key: 1}, lifted=self._lifted)
             except NotPolynomialError:
                 self._memo[key] = None
         return self._memo[key]
@@ -142,19 +141,14 @@ def check_skew(alg, r, f, cobracket=None) -> bool:
     return not any(total.values())
 
 
-def _ad_rows(alg, x):
-    """[x, b_i] as a list of (m, int c) for every basis index i (sl_n's are integral)."""
-    return [[(m, _exact(c)) for m, c in bracket_basis(alg, x, i).items()] for i in range(alg.dim)]
-
-
-def _ad_into(alg, out: dict, f, t, sign: int, ad=None) -> None:
+def _ad_into(alg, out: dict, f, t, sign: int) -> None:
     """Add sign * [f(u) (x) 1 + 1 (x) f(v), t] to the dict out (zeros stay),
-    with the rows ``ad[x]`` of ``_ad_rows``, formed per term of f if not given."""
+    with the integer rows ``alg.ad[x]`` of [x, b_i]."""
     if not t:
         return
     for (x, d), cf in f.items():
         cf = sign * cf
-        rows = _ad_rows(alg, x) if ad is None else ad[x]
+        rows = alg.ad[x]
         for (i, j, a, b), c in t.items():
             c = cf * c
             for m, s in rows[i]:
@@ -180,9 +174,8 @@ def check_cocycle(alg, r, f, g, cobracket=None) -> bool:
     if df is None or dg is None:
         return False
     rhs = {}
-    ad = getattr(cobracket, "ad", None)
-    _ad_into(alg, rhs, f, dg, 1, ad)
-    _ad_into(alg, rhs, g, df, -1, ad)
+    _ad_into(alg, rhs, f, dg, 1)
+    _ad_into(alg, rhs, g, df, -1)
     lhs = cobracket(bracket_poly(alg, f, g))
     return lhs is not None and lhs == {k: c for k, c in rhs.items() if c}
 
@@ -213,6 +206,16 @@ def check_cojacobi(alg, r, f, cobracket=None) -> bool:
                    for (i, j, k, a, b, c3), c in t.items())
 
 
+def sweep_degrees(max_degree, cocycle_degree=None):
+    """(max_degree, cocycle_degree) of a sweep, the latter defaulting to the
+    former; a negative degree raises InvalidParameterError."""
+    if cocycle_degree is None:
+        cocycle_degree = max_degree
+    if max_degree < 0 or cocycle_degree < 0:
+        raise InvalidParameterError(f"sweep degrees must be >= 0: {max_degree}, {cocycle_degree}")
+    return max_degree, cocycle_degree
+
+
 def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
     """Run all four axiom checks over canonical generators.
 
@@ -224,19 +227,16 @@ def axiom_sweep(alg, spec_text, r, max_degree, cocycle_degree=None):
     delta is linear in f, so one ``BasisCobrackets`` per sweep computes
     L * delta(x_i u^k), in ints, once per basis monomial, and every check takes its
     cobrackets from it: the generators, the inner cobrackets of co-Jacobi
-    and delta([f, g]) of the cocycle; its one ad table of [x, b_i] per basis
-    index x serves the basis cobrackets and the cocycle, and both are dropped
-    when the sweep returns.  The cocycle runs once per unordered pair, and its
-    verdict is written to both ordered records (see ``check_cocycle``).
+    and delta([f, g]) of the cocycle; it is dropped when the sweep returns.
+    The ad-action reads ``alg.ad``.  The cocycle runs once per unordered
+    pair, and its verdict is written to both ordered records (see
+    ``check_cocycle``).
     Co-Jacobi tests one orbit sum t[K] + t[R K] + t[R^2 K] per key K of t.  A
     generator whose delta is not polynomial fails its "polynomial" record and
     gets no skew or co-Jacobi record; a co-Jacobi or cocycle record that needs
     a basis cobracket which is not polynomial fails.
     """
-    if cocycle_degree is None:
-        cocycle_degree = max_degree
-    if max_degree < 0 or cocycle_degree < 0:
-        raise InvalidParameterError(f"sweep degrees must be >= 0: {max_degree}, {cocycle_degree}")
+    max_degree, cocycle_degree = sweep_degrees(max_degree, cocycle_degree)
     cobracket = BasisCobrackets(alg, r)
     records = []
 

@@ -10,26 +10,36 @@ to 1 and makes h_alpha = [e_alpha, f_alpha] satisfy [h_alpha, e_alpha] =
 
 Elements of g are ``Sparse`` maps basis index -> Fraction; tensors in
 g (x) g and g (x) g (x) g carry index pairs / triples as keys.
+
+``build_sl`` is memoised per n, so every caller in a process shares one
+``LieAlgebraData``.  It is frozen, its sequences are tuples, and no code
+writes to its ``struct`` values or ``ad`` rows.  Besides ``struct`` it
+carries the integer ad table ``ad``, which ``bracket3`` and the cobracket
+read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidParameterError, InvalidRankError
 from .sparse import Sparse
 
 
-@dataclass
+@dataclass(frozen=True)
 class LieAlgebraData:
     n: int
     rank: int
-    positive_roots: list
-    basis: list
+    positive_roots: tuple
+    basis: tuple
     struct: dict  # (i, j) -> Sparse over basis indices, i != j
-    gram: list  # dense symmetric matrix of the trace form
-    gram_inv: list = field(repr=False)
+    gram: tuple  # dense symmetric matrix of the trace form, rows as tuples
+    gram_inv: tuple = field(repr=False)
+    # ad[x][y]: [b_x, b_y] as a tuple of (m, int c), struct's order; () when zero
+    ad: tuple = field(repr=False)
 
     @property
     def dim(self):
@@ -54,14 +64,16 @@ def sl_labels(n: int):
     yield from (f"H({i})" for i in range(1, n))
 
 
+@functools.cache
 def build_sl(n: int) -> LieAlgebraData:
-    """sl_n with the trace form; raises on n < 2.
+    """sl_n with the trace form, one value per n in a process; raises on n < 2.
 
     Each basis element is at most two matrix units, so its brackets follow
     from [e_ij, e_kl] = d_jk e_il - d_li e_kj.  The Gram matrix pairs E(alpha)
     with F(alpha) to 1 and is the Cartan matrix (2 on the diagonal, -1 next
     to it) on the H block; its inverse also pairs E(alpha) with F(alpha) to 1
-    and is min(k, l) (n - max(k, l)) / n on the H block.
+    and is min(k, l) (n - max(k, l)) / n on the H block.  The ad table holds
+    one int row per nonzero bracket (sl_n's structure constants are integers).
     """
     if n < 2:
         raise InvalidRankError(f"sl_n needs n >= 2, got {n}")
@@ -105,14 +117,20 @@ def build_sl(n: int) -> LieAlgebraData:
             a, b = 2 * npos + k - 1, 2 * npos + l - 1
             gram[a][b] = Fraction({0: 2, 1: -1}.get(abs(k - l), 0))
             gram_inv[a][b] = Fraction(min(k, l) * (n - max(k, l)), n)
+    ad = tuple(
+        tuple(tuple((m, c.numerator) for m, c in struct[a, b].items()) if (a, b) in struct else ()
+              for b in range(dim))
+        for a in range(dim)
+    )
     return LieAlgebraData(
         n=n,
         rank=n - 1,
-        positive_roots=roots,
-        basis=list(sl_labels(n)),
+        positive_roots=tuple(roots),
+        basis=tuple(sl_labels(n)),
         struct=struct,
-        gram=gram,
-        gram_inv=gram_inv,
+        gram=tuple(map(tuple, gram)),
+        gram_inv=tuple(map(tuple, gram_inv)),
+        ad=ad,
     )
 
 
@@ -223,7 +241,8 @@ LEGS = ((0, 1), (0, 2), (1, 2))
 
 
 def bracket3(alg, ta: dict, tb: dict, legs_a, legs_b):
-    """[ta on legs_a, tb on legs_b] in g (x) g (x) g; met: a structure constant was nonzero."""
+    """[ta on legs_a, tb on legs_b] in g (x) g (x) g, from the rows of
+    ``alg.ad``; met: a structure constant was nonzero."""
     c = (set(legs_a) & set(legs_b)).pop()
     ia, ib = legs_a.index(c), legs_b.index(c)
     oa, ob = legs_a[1 - ia], legs_b[1 - ib]
@@ -233,21 +252,30 @@ def bracket3(alg, ta: dict, tb: dict, legs_a, legs_b):
             by.setdefault(key[i], []).append((key[1 - i], coeff))
     out, met, key = {}, False, [0, 0, 0]
     for x, rows_a in by_a.items():
+        ad_x = alg.ad[x]
         for y, rows_b in by_b.items():
-            for m, s in bracket_basis(alg, x, y).items():
-                met, key[c] = True, m
-                s = s.numerator if s.denominator == 1 else s  # always, for sl_n
-                for key[oa], ca in rows_a:  # fills key[oa], then key[ob], in place
+            row = ad_x[y]
+            if not row:
+                continue
+            met = True
+            for key[c], s in row:  # fills key[c], then key[oa], then key[ob], in place
+                for key[oa], ca in rows_a:
+                    sa = s * ca
                     for key[ob], cb in rows_b:
                         k = tuple(key)
-                        out[k] = out.get(k, 0) + s * ca * cb
+                        out[k] = out.get(k, 0) + sa * cb
     return {k: v for k, v in out.items() if v}, met
 
 
 def cyb(alg: LieAlgebraData, r: Sparse) -> Sparse:
-    """CYB(r) = [r12, r13] + [r12, r23] + [r13, r23] in g (x) g (x) g."""
-    out = Sparse()
+    """CYB(r) = [r12, r13] + [r12, r23] + [r13, r23] in g (x) g (x) g.
+
+    CYB is quadratic in r, so it is summed in ints for L * r, L the lcm of
+    r's denominators, and divided by L^2 once per surviving entry."""
+    den = lcm(*(c.denominator for c in r.values()))
+    t = {k: (c * den).numerator for k, c in r.items()}
+    acc = {}
     for a, b in LEGS:
-        for key, c in bracket3(alg, r, r, LEGS[a], LEGS[b])[0].items():
-            out.iadd(key, c)
-    return out
+        for key, c in bracket3(alg, t, t, LEGS[a], LEGS[b])[0].items():
+            acc[key] = acc.get(key, 0) + c
+    return Sparse((k, Fraction(c, den * den)) for k, c in acc.items() if c)

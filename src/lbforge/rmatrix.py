@@ -24,8 +24,10 @@ u/(v-u) + 1 and Omega - swap(r) = r for the modified data it accepts.
 
 Spectral CYBE runs on r = sum phi(u, v)/(v-u)^d (x) T, phi spanning each
 denominator class d (rank <= 2 for the families), T coprime integers so the
-constant brackets (``liealg.bracket3``, which ``cyb`` also sums) are
-int-only; the entry-by-entry sum is the test oracle.  CYB(r) comes back as
+constant brackets (``liealg.bracket3``, which ``cyb`` also sums for the
+constant data behind ``RKind``) are int-only: they read the algebra's
+integer ad table, formed once per n by ``build_sl``.  The entry-by-entry
+sum is the test oracle.  CYB(r) comes back as
 its flat Sparse numerator; the series of the closed form and of the dual
 basis are flat Sparse keyed (i, j, deg_u, deg_v).
 """

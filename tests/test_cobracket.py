@@ -491,13 +491,15 @@ def _random_element(rng, alg, terms):
 
 
 def test_ad_table_rows_are_the_integer_brackets():
-    memo = BasisCobrackets(ALG3, _sl3_tensors()[0])
-    assert len(memo.ad) == ALG3.dim
-    for x, rows in enumerate(memo.ad):
-        assert len(rows) == ALG3.dim
-        for i, row in enumerate(rows):
-            assert all(type(c) is int for _, c in row)
-            assert dict(row) == bracket_basis(ALG3, x, i)
+    # the algebra's table, read by every sweep and by bracket3: int rows in struct's order
+    for n in (2, 3, 4, 5):
+        alg = build_sl(n)
+        assert len(alg.ad) == alg.dim
+        for x, rows in enumerate(alg.ad):
+            assert len(rows) == alg.dim
+            for i, row in enumerate(rows):
+                assert all(type(c) is int for _, c in row)
+                assert list(row) == list(bracket_basis(alg, x, i).items())
 
 
 def test_ad_table_delta_matches_direct():

@@ -1,16 +1,22 @@
 """The matrix realization is checked against an independent oracle: plain
 Fraction matrices multiplied entrywise, with no shared code path."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lbforge.cli import main
+from lbforge.cobracket import axiom_sweep
 from lbforge.errors import InvalidParameterError, InvalidRankError
 from lbforge.liealg import (
+    LEGS,
     basis_element,
     bracket,
+    bracket3,
     bracket_basis,
     build_sl,
     casimir,
@@ -20,6 +26,8 @@ from lbforge.liealg import (
     r_dj,
     swap2,
 )
+from lbforge.pairing import CaseSpec
+from lbforge.rmatrix import build_r, catalog_rkind
 from lbforge.sparse import Sparse
 
 
@@ -110,7 +118,7 @@ def test_gram_inverse_is_inverse(n):
 
 def test_sl2_frozen_table():
     alg = build_sl(2)
-    assert alg.basis == ["E(1,2)", "F(1,2)", "H(1)"]
+    assert alg.basis == ("E(1,2)", "F(1,2)", "H(1)")
     e, f, h = 0, 1, 2
     assert bracket_basis(alg, e, f) == Sparse({h: 1})
     assert bracket_basis(alg, h, e) == Sparse({e: 2})
@@ -325,3 +333,85 @@ def test_jordanian_unknown_root():
     alg = build_sl(2)
     with pytest.raises(InvalidParameterError):
         jordanian(alg, (2, 5))
+
+
+# -- one immutable sl_n per n ---------------------------------------------------
+
+def test_build_sl_is_one_value_per_n():
+    for n in (2, 3, 4):
+        assert build_sl(n) is build_sl(n)
+    assert build_sl(2) is not build_sl(3)
+
+
+def test_algebra_fields_cannot_be_assigned():
+    alg = build_sl(2)
+    for name in ("n", "basis", "struct", "gram", "ad"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(alg, name, None)
+    assert all(type(getattr(alg, name)) is tuple
+               for name in ("positive_roots", "basis", "gram", "gram_inv", "ad"))
+    assert all(type(row) is tuple for row in alg.gram + alg.gram_inv)
+
+
+def test_shared_algebra_is_unchanged_by_its_callers(tmp_path, capsys):
+    # every CLI path and one sweep read the memoised sl_n; none may write to it
+    for n in (3, 4):
+        algebra, tensor = f"A:{n}", tmp_path / f"r{n}.json"
+        assert main(["build", "--algebra", algebra, "--case", "I:two-points:1,2", "--r", "dj",
+                     "--out", str(tensor)]) == 0
+        assert main(["verify", "--in", str(tensor), "--case", "I:two-points:1,2",
+                     "--checks", "cybe,skew,duality,equiv"]) == 0
+        assert main(["dualbasis", "--algebra", algebra, "--case", "I:double-pole",
+                     "--degree", "2"]) == 0
+    assert main(["table", "I", "simple", "2"]) == 0
+    capsys.readouterr()
+    alg = build_sl(3)
+    spec = CaseSpec.parse("I:two-points:1,2")
+    records = axiom_sweep(alg, "I:two-points:1,2", build_r(alg, spec, catalog_rkind(alg, spec)), 1)
+    assert records and all(rec["pass"] for rec in records)
+    for n in (2, 3, 4):
+        shared, fresh = build_sl(n), build_sl.__wrapped__(n)
+        assert shared is not fresh
+        for f in dataclasses.fields(shared):
+            assert getattr(shared, f.name) == getattr(fresh, f.name), (n, f.name)
+        assert list(shared.struct) == list(fresh.struct)
+        for key, value in fresh.struct.items():
+            assert shared.struct[key] == value and all(type(c) is Fraction for c in shared.struct[key].values())
+
+
+# -- bracket3 against its per-pair bracket_basis loop ------------------------------
+
+def bracket3_loop(alg, ta, tb, legs_a, legs_b):
+    """bracket3 as one bracket_basis call per pair of shared-leg indices,
+    each structure constant turned into an int: the oracle of the ad-table form."""
+    c = (set(legs_a) & set(legs_b)).pop()
+    ia, ib = legs_a.index(c), legs_b.index(c)
+    oa, ob = legs_a[1 - ia], legs_b[1 - ib]
+    by_a, by_b = {}, {}
+    for t, i, by in ((ta, ia, by_a), (tb, ib, by_b)):
+        for key, coeff in t.items():
+            by.setdefault(key[i], []).append((key[1 - i], coeff))
+    out, met, key = {}, False, [0, 0, 0]
+    for x, rows_a in by_a.items():
+        for y, rows_b in by_b.items():
+            for m, s in bracket_basis(alg, x, y).items():
+                met, key[c] = True, m
+                s = s.numerator if s.denominator == 1 else s
+                for key[oa], ca in rows_a:
+                    for key[ob], cb in rows_b:
+                        k = tuple(key)
+                        out[k] = out.get(k, 0) + s * ca * cb
+    return {k: v for k, v in out.items() if v}, met
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bracket3_matches_bracket_basis_loop(n):
+    alg, rng = build_sl(n), random.Random(n)
+    coeffs = [-3, -1, 1, 2, 5, Fraction(1, 2), Fraction(-4, 3)]
+    for _ in range(8):
+        ta, tb = ({(rng.randrange(alg.dim), rng.randrange(alg.dim)): rng.choice(coeffs)
+                   for _ in range(rng.randint(1, 2 * alg.dim))} for _ in range(2))
+        for a, b in LEGS:
+            got = bracket3(alg, ta, tb, LEGS[a], LEGS[b])
+            want = bracket3_loop(alg, ta, tb, LEGS[a], LEGS[b])
+            assert got == want and list(got[0]) == list(want[0]), (n, a, b)

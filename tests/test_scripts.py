@@ -86,7 +86,10 @@ def test_axiom_sweep_unwritable_output_exits_3(tmp_path, capsys):
     out = tmp_path / "missing" / "sweep.json"
     argv = ["--degree", "0", "--cocycle-degree", "0", "--out", str(out)]
     assert axiom_sweep_script.main(argv) == 3
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    # the path is opened before the sweep, so no family line is printed
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
     assert not out.exists()
 
