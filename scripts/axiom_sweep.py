@@ -40,17 +40,12 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        fh = open(args.out, "w", encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            records = sweep_all(alg, cap, cocycle_degree)
+            json.dump(records, fh, indent=2)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    with fh:
-        records = sweep_all(alg, cap, cocycle_degree)
-        try:
-            json.dump(records, fh, indent=2)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
     print(f"wrote {len(records)} records to {args.out}")
     return 0 if all(rec["pass"] for rec in records) else 1
 

@@ -12,8 +12,8 @@ Elements of g are ``Sparse`` maps basis index -> Fraction; tensors in
 g (x) g and g (x) g (x) g carry index pairs / triples as keys.
 
 ``build_sl`` is memoised per n, so every caller in a process shares one
-``LieAlgebraData``.  It is frozen, its sequences are tuples, and no code
-writes to its ``struct`` values or ``ad`` rows.  Besides ``struct`` it
+``LieAlgebraData``: it is frozen, its sequences are tuples, and no code
+writes to the ``Sparse`` values of its ``struct``.  Beside ``struct`` it
 carries the integer ad table ``ad``, which ``bracket3`` and the cobracket
 read.
 """
