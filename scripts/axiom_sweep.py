@@ -7,9 +7,9 @@ are flag-controlled; defaults match the acceptance suite (4 on sl_2, 2 on
 sl_3).  Exits 0 when every record passes, 1 when one fails, 2 with an
 ``error:`` line on an invalid rank or degree (the flags are integers in
 ASCII digits after at most one '-', and a degree must be >= 0), and 3 with
-an ``error:`` line when the output file cannot be opened for writing.  The
-flags are read, then the output file is opened, then the families are
-swept, so a bad flag or path costs no sweep.
+an ``error:`` line when the output file cannot be written.  The flags are
+read, then the output file is opened, then the families are swept, so a
+bad flag or an unwritable path costs no sweep.
 """
 
 import argparse
