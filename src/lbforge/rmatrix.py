@@ -26,10 +26,15 @@ Spectral CYBE runs on r = sum phi(u, v)/(v-u)^d (x) T, phi spanning each
 denominator class d (rank <= 2 for the families), T coprime integers so the
 constant brackets (``liealg.bracket3``, which ``cyb`` also sums for the
 constant data behind ``RKind``) are int-only: they read the algebra's
-integer ad table, formed once per n by ``build_sl``.  The entry-by-entry
-sum is the test oracle.  CYB(r) comes back as
-its flat Sparse numerator; the series of the closed form and of the dual
-basis are flat Sparse keyed (i, j, deg_u, deg_v).
+integer ad table, formed once per n by ``build_sl``.  The products are
+summed by Kronecker substitution: each monomial present in some product
+owns one w-bit slot, a product becomes the one int sum c 2^(w slot) of its
+coefficients over the common denominator, and each bracket entry adds
+br * packed to its key.  w is one more than the bit length of a bound on
+every summed coefficient, so the balanced w-bit digits of each key's int
+are exactly its coefficients.  The entry-by-entry sum is the test oracle.
+CYB(r) comes back as its flat Sparse numerator; the series of the closed
+form and of the dual basis are flat Sparse keyed (i, j, deg_u, deg_v).
 """
 
 from __future__ import annotations
@@ -225,7 +230,19 @@ def cyb_spectral(alg, r: SpectralTensor2) -> Sparse:
     (i, j, k, du, dv, dw) over (v-u)^a (w-u)^b (w-v)^c, each exponent the
     largest den_pow that meets a nonzero structure constant in that slot;
     zero exactly when CYB(r) is.  One integer constant bracket and one
-    trivariate product per pair of factors and CYBE term."""
+    trivariate product per pair of factors and CYBE term.
+
+    The products are summed packed: monomial m of any product is slot
+    s(m), numbered as first met, and a product with integer coefficients
+    c_m (over the one denominator) is the int P = sum c_m 2^(w s(m)).  A
+    bracket entry cb at key adds cb * P to the key's int, so the key's
+    coefficient at m is the sum over products of cb c_m.  Its absolute
+    value is at most B = sum over products of max |cb| * sum_m |c_m|, and
+    w = bit_length(B) + 1 puts every one in [-2^(w-1), 2^(w-1)): the
+    balanced w-bit digits of the key's int are those coefficients.  Slots
+    are the monomials present, never the box of all exponents up to the
+    largest, so a u^(10^6) costs one slot; only a key with a nonzero int
+    is unpacked."""
     facs = list(_factors(r))
     terms, common = [], [0, 0, 0]
     for da, pa, ta in facs:
@@ -243,10 +260,34 @@ def cyb_spectral(alg, r: SpectralTensor2) -> Sparse:
              for br, a, da, pa, b, db, pb in terms]
     # summed as ints over one common denominator: Fraction only for what survives
     den = lcm(*(c.denominator for _, p in prods for c in p.values()))
-    acc = {}
+    # one int per product, one w-bit slot per monomial (see the docstring)
+    slot, packed, bound = {}, [], 0
     for br, prod in prods:
-        for mono, c in prod.items():
-            c = c.numerator * (den // c.denominator)
-            for key, cb in br.items():
-                acc[key + mono] = acc.get(key + mono, 0) + cb * c
-    return Sparse((k, Fraction(c, den)) for k, c in acc.items() if c)
+        ints = [(slot.setdefault(mono, len(slot)), c.numerator * (den // c.denominator))
+                for mono, c in prod.items()]
+        packed.append((br, ints))
+        bound += max(map(abs, br.values())) * sum(abs(c) for _, c in ints)
+    w = bound.bit_length() + 1
+    acc = {}
+    for br, ints in packed:
+        p = sum(c << (w * s) for s, c in ints)
+        for key, cb in br.items():
+            acc[key] = acc.get(key, 0) + cb * p
+    return Sparse(_unpack(acc, list(slot), w, den))
+
+
+def _unpack(acc, monos, w, den):
+    """(key + monos[s], digit / den) for every nonzero balanced w-bit digit
+    of every packed int: a digit read at or above 2^(w-1) is negative and
+    borrows one from the next slot."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    for key, v in acc.items():
+        s = 0
+        while v:
+            d = v & mask
+            if d >= half:
+                d -= 1 << w
+            if d:
+                yield key + monos[s], Fraction(d, den)
+            v = (v - d) >> w
+            s += 1

@@ -219,30 +219,32 @@ _DIFFS = (
 def cyb_oracle(alg, r):
     """CYB(r) as (numerators, den_pows), one trivariate product per ordered
     pair of entries and CYBE term; each den_pow is the largest one that
-    meets a nonzero bracket in its slot."""
-    entries = list(r.items())
-    contribs = []
-    for (i, j), fij in entries:
-        f12 = _tri_embed(fij.num, 0, 1)  # first factor read as r12(u, v)
-        f13 = _tri_embed(fij.num, 0, 2)  # ... or as r13(u, w)
-        for (k, l), gkl in entries:
-            g13 = _tri_embed(gkl.num, 0, 2)  # second factor as r13(u, w)
-            g23 = _tri_embed(gkl.num, 1, 2)  # ... or as r23(v, w)
-            for prod, dens, bra, place in (
-                (poly_mul(f12, g13), (fij.den_pow, gkl.den_pow, 0), (i, k),
-                 lambda m: (m, j, l)),
-                (poly_mul(f12, g23), (fij.den_pow, 0, gkl.den_pow), (j, k),
-                 lambda m: (i, m, l)),
-                (poly_mul(f13, g23), (0, fij.den_pow, gkl.den_pow), (j, l),
-                 lambda m: (i, k, m)),
+    meets a nonzero bracket in its slot.  Products are summed per output
+    key and den_pows before the common denominator is applied."""
+    # each entry read as r12(u, v), r13(u, w) and r23(v, w)
+    entries = [(i, j, f.den_pow, *(_tri_embed(f.num, *s) for s in ((0, 1), (0, 2), (1, 2))))
+               for (i, j), f in r.items()]
+    groups = {}
+    for i, j, df, f12, f13, _ in entries:
+        for k, l, dg, _, g13, g23 in entries:
+            for fa, gb, dens, bra, place in (
+                (f12, g13, (df, dg, 0), (i, k), lambda m: (m, j, l)),
+                (f12, g23, (df, 0, dg), (j, k), lambda m: (i, m, l)),
+                (f13, g23, (0, df, dg), (j, l), lambda m: (i, k, m)),
             ):
-                for m, cm in bracket_basis(alg, *bra).items():
-                    contribs.append((place(m), cm * prod, dens))
-    if not contribs:
+                br = bracket_basis(alg, *bra)
+                if not br:
+                    continue
+                prod = poly_mul(fa, gb)
+                for m, cm in br.items():
+                    num = groups.setdefault((place(m), dens), Sparse())
+                    for mono, c in prod.items():
+                        num.iadd(mono, cm * c)
+    if not groups:
         return Sparse(), (0, 0, 0)
-    common = tuple(max(d[s] for (_, _, d) in contribs) for s in range(3))
+    common = tuple(max(d[s] for (_, d) in groups) for s in range(3))
     total = Sparse()
-    for key, num, dens in contribs:
+    for (key, dens), num in groups.items():
         for s in range(3):
             for _ in range(common[s] - dens[s]):
                 num = poly_mul(num, _DIFFS[s])
@@ -280,6 +282,71 @@ def test_cyb_matches_oracle_on_random_tensors(case):
     assert_matches_oracle(*case)
 
 
+@st.composite
+def wide_spectral_tensors(draw):
+    """As ``spectral_tensors``, with numerators up to 10^30 in size and
+    denominators up to 10^6, of either sign: wide packed slots."""
+    alg = draw(st.sampled_from([ALG, build_sl(3)]))
+    monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    coeffs = st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool),
+                       st.integers(1, 10**6))
+    keys = st.tuples(st.integers(0, alg.dim - 1), st.integers(0, alg.dim - 1))
+    entries = draw(st.dictionaries(keys, st.tuples(
+        st.dictionaries(monos, coeffs, min_size=1, max_size=3),
+        st.integers(0, 2)), min_size=1, max_size=4))
+    r = SpectralTensor2()
+    for key, (num, den_pow) in entries.items():
+        r.add_entry(key, bivar(Sparse(num), den_pow))
+    return alg, r
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_spectral_tensors())
+def test_cyb_matches_oracle_on_wide_coefficients(case):
+    assert_matches_oracle(*case)
+
+
+def test_cyb_coefficient_at_the_slot_bound():
+    # c E (x) F: CYB is -c^2 E (x) H (x) F, one term whose coefficient is the
+    # whole bound on a summed coefficient, so its slot has no bit to spare
+    e, f, h = (ALG.basis.index(x) for x in ("E(1,2)", "F(1,2)", "H(1)"))
+    c = 3 * 10**15
+    r = from_constant(Sparse({(e, f): c}))
+    assert assert_matches_oracle(ALG, r) == Sparse({(e, h, f, 0, 0, 0): -c * c})
+
+
+def test_cyb_negative_coefficient_in_either_slot():
+    # every CYBE product with a nonzero bracket here is u v or u w, and
+    # each key is nonzero at one of them only, negative: whichever of the
+    # two monomials is numbered last, one key is nonzero only in the
+    # highest packed slot, and the other borrows from the slot above it
+    alg = build_sl(3)
+    e23, f12, f13 = (alg.basis.index(x) for x in ("E(2,3)", "F(1,2)", "F(1,3)"))
+    r = SpectralTensor2({
+        (e23, f13): bivar(poly2({(1, 0): 2}), 1),
+        (e23, f12): bivar(poly2({(0, 1): 1}), 1),
+    })
+    got = assert_matches_oracle(alg, r)
+    monos = {key[3:] for key in got}
+    assert monos == {(1, 1, 0), (1, 0, 1)}
+    assert all(c < 0 for c in got.values())
+    assert len({key[:3] for key in got}) == len(got)
+
+
+def test_cyb_with_a_huge_exponent():
+    # slots are the monomials present: u^(10^6) costs one slot, not a box
+    # of every exponent up to it
+    e, f, h = (ALG.basis.index(x) for x in ("E(1,2)", "F(1,2)", "H(1)"))
+    r = SpectralTensor2({
+        (e, f): bivar(poly2({(10**6, 0): 1, (0, 1): -2}), 1),
+        (h, h): bivar(poly2({(0, 0): 3}), 1),
+        (f, e): bivar(poly2({(0, 0): Fraction(-5, 7)}), 0),
+    })
+    got = assert_matches_oracle(ALG, r)
+    assert not got.is_zero()
+    assert max(key[3] for key in got) >= 10**6
+
+
 def test_cyb_of_empty_tensor():
     assert assert_matches_oracle(ALG, SpectralTensor2()).is_zero()
 
@@ -306,18 +373,32 @@ def test_cyb_common_denominator_per_slot():
 
 
 @pytest.mark.parametrize("text", ALL_CASES)
+@pytest.mark.parametrize("n", [4, 5])
+def test_cyb_matches_oracle_at_benchmark_ranks(text, n):
+    # the benchmark's data: r_DJ for the g+g families, Jordanian otherwise
+    alg = build_sl(n)
+    spec = CaseSpec.parse(text)
+    if family_requirement(spec) == "mcybe":
+        rk = RKind.mcybe(alg, r_dj(alg))
+    else:
+        rk = RKind.skew(alg, jordanian(alg))
+    assert assert_matches_oracle(alg, build_r(alg, spec, rk)).is_zero()
+
+
+@pytest.mark.parametrize("text", ALL_CASES)
 def test_cyb_matches_oracle_on_edited_families(text):
     # one entry doubled and one dropped: CYB no longer vanishes
-    alg = build_sl(3)
     spec = CaseSpec.parse(text)
-    r = build_r(alg, spec, catalog_rkind(alg, spec))
-    assert assert_matches_oracle(alg, r).is_zero()
-    (first, val), *_, (last, _) = r.items()
-    doubled = SpectralTensor2(dict(r.entries))
-    doubled.add_entry(first, val)
-    assert not assert_matches_oracle(alg, doubled).is_zero()
-    dropped = SpectralTensor2({k: v for k, v in r.items() if k != last})
-    assert not assert_matches_oracle(alg, dropped).is_zero()
+    for n in (3, 4):
+        alg = build_sl(n)
+        r = build_r(alg, spec, catalog_rkind(alg, spec))
+        assert assert_matches_oracle(alg, r).is_zero()
+        (first, val), *_, (last, _) = r.items()
+        doubled = SpectralTensor2(dict(r.entries))
+        doubled.add_entry(first, val)
+        assert not assert_matches_oracle(alg, doubled).is_zero()
+        dropped = SpectralTensor2({k: v for k, v in r.items() if k != last})
+        assert not assert_matches_oracle(alg, dropped).is_zero()
 
 
 # -- series -------------------------------------------------------------------
