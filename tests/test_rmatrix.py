@@ -261,11 +261,10 @@ def assert_matches_oracle(alg, r):
 
 
 @st.composite
-def spectral_tensors(draw):
+def spectral_tensors(draw, coeffs=st.fractions(min_value=-5, max_value=5, max_denominator=4)):
     """A random tensor over sl_2 or sl_3, entries with den_pow 0..2."""
     alg = draw(st.sampled_from([ALG, build_sl(3)]))
     monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
     keys = st.tuples(st.integers(0, alg.dim - 1), st.integers(0, alg.dim - 1))
     entries = draw(st.dictionaries(keys, st.tuples(
         st.dictionaries(monos, coeffs, min_size=1, max_size=3),
@@ -282,26 +281,13 @@ def test_cyb_matches_oracle_on_random_tensors(case):
     assert_matches_oracle(*case)
 
 
-@st.composite
-def wide_spectral_tensors(draw):
-    """As ``spectral_tensors``, with numerators up to 10^30 in size and
-    denominators up to 10^6, of either sign: wide packed slots."""
-    alg = draw(st.sampled_from([ALG, build_sl(3)]))
-    monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    coeffs = st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool),
-                       st.integers(1, 10**6))
-    keys = st.tuples(st.integers(0, alg.dim - 1), st.integers(0, alg.dim - 1))
-    entries = draw(st.dictionaries(keys, st.tuples(
-        st.dictionaries(monos, coeffs, min_size=1, max_size=3),
-        st.integers(0, 2)), min_size=1, max_size=4))
-    r = SpectralTensor2()
-    for key, (num, den_pow) in entries.items():
-        r.add_entry(key, bivar(Sparse(num), den_pow))
-    return alg, r
+# numerators up to 10^30 in size and denominators up to 10^6, of either
+# sign: wide packed slots
+WIDE = st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool), st.integers(1, 10**6))
 
 
 @settings(max_examples=40, deadline=None)
-@given(wide_spectral_tensors())
+@given(spectral_tensors(WIDE))
 def test_cyb_matches_oracle_on_wide_coefficients(case):
     assert_matches_oracle(*case)
 
