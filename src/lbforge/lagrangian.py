@@ -23,13 +23,14 @@ Res u^{-2-j-j'}(...) = 0.  So the Lagrangian check and the dual basis read
 finitely many elements of W, fixed by the heads: no degree window.
 
 W's tail is the case's m(t).  The check and the duals share one pass over
-the heads (``_head_pass``) that keeps those whose remainders modulo m(t) are
-independent, so a redundant head changes no verdict and no dual.
+the heads (``_head_pass``, formed once per W and kept on it) that keeps
+those whose remainders modulo m(t) are independent, so a redundant head
+changes no verdict and no dual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidParameterError, NotTransversalError
@@ -51,6 +52,8 @@ class WPresentation:
     spec: CaseSpec
     head: list
     tail: Sparse
+    # {n: _head_pass over sl_n}, formed on first use; a W is not edited after
+    _head_passes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tail != tail_poly(self.spec):
@@ -247,13 +250,18 @@ def _head_pass(alg, w: WPresentation):
     """(span, kept): span the ``RowSpan`` of the heads' remainders, kept the
     heads whose remainder enlarges it, in order, each as (h, Q(x_j u^l, h)
     by ``canonical_pairings``) up to l = s - 1 + h's t-degree, past which h
-    pairs with nothing."""
-    span, kept = RowSpan(), []
-    for h in w.head:
-        if span.add(rem(w, h)):
-            top = max([0] + [-d for (_, d) in h.loop])
-            kept.append((h, canonical_pairings(alg, w.spec, h, w.spec.at_infinity - 1 + top)))
-    return span, kept
+    pairs with nothing.  Formed once per W and n, and kept on ``w``, so
+    ``is_lagrangian`` and ``dual_basis`` on one W share it; neither writes
+    to it."""
+    done = w._head_passes.get(alg.n)
+    if done is None:
+        span, kept = RowSpan(), []
+        for h in w.head:
+            if span.add(rem(w, h)):
+                top = max([0] + [-d for (_, d) in h.loop])
+                kept.append((h, canonical_pairings(alg, w.spec, h, w.spec.at_infinity - 1 + top)))
+        done = w._head_passes[alg.n] = (span, kept)
+    return done
 
 
 def is_lagrangian(alg, w: WPresentation, window=None) -> LagrangianReport:
@@ -288,30 +296,44 @@ def is_lagrangian(alg, w: WPresentation, window=None) -> LagrangianReport:
     )
 
 
+def _shift(loop: Sparse, j: int) -> Sparse:
+    """loop times t^j = u^{-j}: every u-degree lowered by j."""
+    out = Sparse()
+    out.update(((i, d - j), c) for (i, d), c in loop.items())
+    return out
+
+
 def dual_basis(alg, w: WPresentation, truncation: int):
     """[(i, k, el)] for every canonical x_i u^k, k <= truncation, with el in
     W pairing to 1 with x_i u^k and to 0 with every other canonical vector.
 
-    For k >= 1, el = m(t) t^{k-1} x^i (module docstring).  For k = 0 each
-    head that ``_head_pass`` keeps loses its pairings above degree 0, h' =
-    h - sum_{l >= 1} Q(x_j u^l, h) m(t) t^{l-1} x^j, and el = sum_b
-    (P^-1)_{ib} h'_b over the kept heads, solved with the unknowns 0..n-1
-    before the right-hand sides n..  NotTransversalError exactly when
-    ``is_lagrangian`` reads W as not transversal: "inconsistent" when some
-    e_i is out of P's reach, "singular" when P has more columns than rank.
+    For k >= 1, el = m(t) t^{k-1} x^i (module docstring): the loop of
+    m(t) x^i is formed once per i, and each m(t) t^{k-1} x^i is that loop
+    with its u-degrees lowered by k - 1.  For k = 0 each head that
+    ``_head_pass`` keeps loses its pairings above degree 0, h' = h -
+    sum_{l >= 1} Q(x_j u^l, h) m(t) t^{l-1} x^j, by the same shifts, and
+    el = sum_b (P^-1)_{ib} h'_b over the kept heads, summed into one element
+    per i, solved with the unknowns 0..n-1 before the right-hand sides n..
+    NotTransversalError exactly when ``is_lagrangian`` reads W as not
+    transversal: "inconsistent" when some e_i is out of P's reach,
+    "singular" when P has more columns than rank.
     """
     _, kept = _head_pass(alg, w)
     n = len(kept)
-    co = [Sparse((a, g) for a, g in enumerate(row) if g) for row in alg.gram_inv]
+    # the loop of m(t) x^j for each basis index j, x^j the trace-form dual
+    tails = [tail_element(w, Sparse((a, g) for a, g in enumerate(row) if g), 0).loop
+             for row in alg.gram_inv]
     rows = [Sparse({n + j: 1}) for j in range(alg.dim)]
     corrected = []
     for b, (h, pairs) in enumerate(kept):
+        loop = Sparse(h.loop)
         for (j, l), val in pairs.items():
             if l:
-                h = h - val * tail_element(w, co[j], l - 1)
+                for key, c in _shift(tails[j], l - 1).items():
+                    loop.iadd(key, -val * c)
             else:
                 rows[j][b] = val
-        corrected.append(h)
+        corrected.append((loop, h.fin, h.eps))
     span = RowSpan()
     for row in rows:
         span.add(row)
@@ -320,11 +342,13 @@ def dual_basis(alg, w: WPresentation, truncation: int):
     if span.dim < n:
         raise NotTransversalError("dual-basis system is singular")
     duals = [DoubleElement(Sparse()) for _ in range(alg.dim)]
-    for b, h in enumerate(corrected):
+    for b, parts in enumerate(corrected):
         for c, coeff in span.rows[b].items():
             if c >= n:
-                duals[c - n] += coeff * h
+                for acc, part in zip((duals[c - n].loop, *duals[c - n].jets), parts):
+                    for key, v in part.items():
+                        acc.iadd(key, coeff * v)
     return [(i, 0, el) for i, el in enumerate(duals)] + [
-        (i, k, tail_element(w, co[i], k - 1))
+        (i, k, DoubleElement(_shift(tails[i], k - 1)))
         for k in range(1, truncation + 1) for i in range(alg.dim)
     ]

@@ -15,7 +15,8 @@ g (x) g and g (x) g (x) g carry index pairs / triples as keys.
 ``LieAlgebraData``: it is frozen, its sequences are tuples, and no code
 writes to the ``Sparse`` values of its ``struct``.  Beside ``struct`` it
 carries the integer ad table ``ad``, which ``bracket3`` and the cobracket
-read.
+read, and beside the dense ``gram`` its sparse integer rows ``gram_rows``,
+which the pairing reads.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ class LieAlgebraData:
     gram_inv: tuple = field(repr=False)
     # ad[x][y]: [b_x, b_y] as a tuple of (m, int c), struct's order; () when zero
     ad: tuple = field(repr=False)
+    # gram_rows[x]: the nonzero entries of gram[x] as a tuple of (m, int g), in index order
+    gram_rows: tuple = field(repr=False)
 
     @property
     def dim(self):
@@ -73,7 +76,10 @@ def build_sl(n: int) -> LieAlgebraData:
     with F(alpha) to 1 and is the Cartan matrix (2 on the diagonal, -1 next
     to it) on the H block; its inverse also pairs E(alpha) with F(alpha) to 1
     and is min(k, l) (n - max(k, l)) / n on the H block.  The ad table holds
-    one int row per nonzero bracket (sl_n's structure constants are integers).
+    one int row per nonzero bracket (sl_n's structure constants are integers),
+    and ``gram_rows`` the nonzero entries of each Gram row as (index, int)
+    pairs (the trace form is integral on this basis): one for an E or F
+    row, two or three for an H row.
     """
     if n < 2:
         raise InvalidRankError(f"sl_n needs n >= 2, got {n}")
@@ -122,6 +128,7 @@ def build_sl(n: int) -> LieAlgebraData:
               for b in range(dim))
         for a in range(dim)
     )
+    gram_rows = tuple(tuple((b, g.numerator) for b, g in enumerate(row) if g) for row in gram)
     return LieAlgebraData(
         n=n,
         rank=n - 1,
@@ -131,6 +138,7 @@ def build_sl(n: int) -> LieAlgebraData:
         gram=tuple(map(tuple, gram)),
         gram_inv=tuple(map(tuple, gram_inv)),
         ad=ad,
+        gram_rows=gram_rows,
     )
 
 

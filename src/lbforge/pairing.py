@@ -33,17 +33,20 @@ The canonical copy of g[u] sits inside the double with jet k of x u^k equal
 to x for k < s (the value and first derivative at u = 0); this is the
 unique embedding that makes g[u] isotropic.
 
-``pairing_map`` reads the pairing as a sparse linear map: Q(e, y) of one y
-with every coordinate e of the double (``DoubleElement.coords``), from y's
-loop terms and the nonzero trace-form entries of their rows, so that
-Q(x, y) is the dot product of coords(x) with the map of y.  It is the one
-pairing loop: ``q_form`` and the isotropy check dot coordinates with it,
-and ``canonical_pairings`` folds it onto the canonical basis for the
-dual-basis system and the duality check.  The map's loop part is summed
-over integers, exactly: y's loop terms are brought to one denominator D_y,
-the Taylor coefficients of a(u) are integer numerators over one D_t (also
-cached on the ``CaseSpec``), and each nonzero sum becomes one ``Fraction``
-over D_y * D_t at the end.
+One private loop, ``_pairing_sums``, pairs one y with every x_i u^k over a
+degree range: it runs over y's loop terms and the nonzero entries of their
+trace-form rows (``LieAlgebraData.gram_rows``), keys its sums by (i, k),
+and pairs y's jets with the jet coordinates (i, m) beside them.  The loop
+part is summed over integers, exactly: y's loop terms are brought to one
+denominator D_y, the Taylor coefficients of a(u) are integer numerators
+over one D_t (also cached on the ``CaseSpec``), and each nonzero sum becomes
+one ``Fraction`` over D_y * D_t at the end.  Two readers share it.
+``pairing_map`` keys the result by the double's coordinates
+(``DoubleElement.coords``), so that Q(x, y) is the dot product of coords(x)
+with the map of y; ``q_form`` and the isotropy check read it.
+``canonical_pairings`` adds the jet pairing (i, k) to the loop sum of the
+same key, since the canonical x_i u^k carries jet k = x_i, and gives
+Q(x_i u^k, y) directly for the dual-basis system and the duality check.
 """
 
 from __future__ import annotations
@@ -267,19 +270,18 @@ def q_form(alg: LieAlgebraData, spec: CaseSpec, x: DoubleElement, y: DoubleEleme
     return sum((c * pmap[e] for e, c in x.coords().items() if e in pmap), Fraction(0))
 
 
-def pairing_map(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmin: int, kmax: int) -> Sparse:
-    """Q(e, y) for every coordinate e of the double, keyed as in
-    ``DoubleElement.coords``: (0, i, -k) for x_i u^k with kmin <= k <= kmax,
-    (1, i) for the finite and (2, i) for the dual-number summand.  For any
-    x with loop degrees in that range, q_form(alg, spec, x, y) is the sum
-    of coords(x)[e] * map[e]."""
+def _pairing_sums(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmin: int, kmax: int):
+    """(acc, scale, jets), the pairing loop: acc[(i, k)] / scale is the loop
+    part of Q(x_i u^k, y) for kmin <= k <= kmax, summed in ints over y's loop
+    terms and the sparse integer Gram rows (a key may hold 0), and jets[(i,
+    m)] is Q of the coordinate x_i of jet m with y, from y's jet s - 1 - m."""
     check_shape(spec, y)
     s = spec.at_infinity
-    gram = alg.gram
-    # the loop part in integers: y's loop coefficients are cn / D_y with D_y
-    # the lcm of their denominators, each t_m is tnum[m] / D_t, and acc holds
-    # every value times D_y * D_t
-    acc = {}
+    rows = alg.gram_rows
+    # y's loop coefficients are cn / D_y with D_y the lcm of their
+    # denominators, each t_m is tnum[m] / D_t, and acc holds every value
+    # times scale = D_y * D_t
+    acc, scale = {}, 1
     if y.loop:
         top = s - 1 - kmin - min(l for _, l in y.loop)
         dt, tnum = spec.taylor_numerators(top) if top >= 0 else (1, ())
@@ -289,27 +291,38 @@ def pairing_map(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmin: int
         for c in y.loop.values():
             dy = lcm(dy, c.denominator)
         for (j, l), c in y.loop.items():
+            kts = [(k, tnum[s - 1 - k - l]) for k in range(kmin, min(kmax, s - 1 - l) + 1)]
+            if not kts:
+                continue
             cn = c.numerator * (dy // c.denominator)
-            ks = range(kmin, min(kmax, s - 1 - l) + 1)
-            for i, g in enumerate(gram[j]):
-                if g:
-                    cg = cn * (g.numerator if g.denominator == 1 else g)  # always int, for sl_n
-                    for k in ks:
-                        t = tnum[s - 1 - k - l]
-                        if t:
-                            key = (0, i, -k)
-                            acc[key] = acc.get(key, 0) + cg * t
+            for i, g in rows[j]:
+                cg = cn * g
+                for k, t in kts:
+                    if t:
+                        key = (i, k)
+                        acc[key] = acc.get(key, 0) + cg * t
         scale = dy * dt
-    out = Sparse()
-    for key, v in acc.items():
-        if v:
-            out[key] = Fraction(v, scale)
-    # the coordinate (1 + m, i) of jet m pairs with y's jet s - 1 - m
+    jets = Sparse()
     for m in range(s):
         for j, c in y.jets[s - 1 - m].items():
-            for i, g in enumerate(gram[j]):
-                if g:
-                    out.iadd((1 + m, i), -c * g)
+            for i, g in rows[j]:
+                jets.iadd((i, m), -c * g)
+    return acc, scale, jets
+
+
+def pairing_map(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmin: int, kmax: int) -> Sparse:
+    """Q(e, y) for every coordinate e of the double, keyed as in
+    ``DoubleElement.coords``: (0, i, -k) for x_i u^k with kmin <= k <= kmax,
+    (1, i) for the finite and (2, i) for the dual-number summand.  For any
+    x with loop degrees in that range, q_form(alg, spec, x, y) is the sum
+    of coords(x)[e] * map[e]."""
+    acc, scale, jets = _pairing_sums(alg, spec, y, kmin, kmax)
+    out = Sparse()
+    for (i, k), v in acc.items():
+        if v:
+            out[0, i, -k] = Fraction(v, scale)
+    for (i, m), v in jets.items():
+        out[1 + m, i] = v
     return out
 
 
@@ -317,10 +330,13 @@ def canonical_pairings(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, km
     """(i, k) -> Q(x_i u^k, y) over the canonical basis with k <= kmax;
     equals q_form(alg, spec, embed_canonical(spec, x_i, k), y).  The
     canonical x_i u^k is the loop coordinate plus jet k = x_i when k < s,
-    so the pairing map's key (1 + k, i) folds onto it."""
+    so the jet pairing (i, k) folds onto the loop sum of the same key."""
+    acc, scale, jets = _pairing_sums(alg, spec, y, 0, kmax)
     out = Sparse()
-    for key, val in pairing_map(alg, spec, y, 0, kmax).items():
-        k = -key[2] if key[0] == 0 else key[0] - 1
-        if k <= kmax:
-            out.iadd((key[1], k), val)
+    for key, v in acc.items():
+        if v:
+            out[key] = Fraction(v, scale)
+    for (i, m), v in jets.items():
+        if m <= kmax:
+            out.iadd((i, m), v)
     return out

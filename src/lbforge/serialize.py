@@ -178,8 +178,12 @@ def dump(doc, path=None) -> str:
 
 
 def load(path):
+    """The JSON document at path; MalformedInputError when the file cannot
+    be opened, is not UTF-8, is not JSON or nests deeper than the decoder's
+    recursion limit."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers json.JSONDecodeError and UnicodeDecodeError
+    except (OSError, ValueError, RecursionError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc

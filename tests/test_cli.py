@@ -742,6 +742,29 @@ def test_verify_missing_file():
     assert main(["verify", "--in", "/nonexistent/r.json"]) == 3
 
 
+# a file that is not UTF-8, and JSON nested past the decoder's recursion limit
+UNREADABLE_FILES = {
+    "not-utf8": b'\xff\xfe{"entries": []}',
+    "deep": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+@pytest.mark.parametrize("command", ["verify", "build"])
+def test_unreadable_file_exits_3_with_one_error_line(tmp_path, capsys, name, command):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE_FILES[name])
+    if command == "verify":
+        argv = ["verify", "--in", str(path)]
+    else:
+        argv = ["build", "--case", "I:constant", "--r", f"file:{path}"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_duality_needs_case(tmp_path):
     out = build_file(tmp_path)
     assert main(["verify", "--in", str(out), "--checks", "duality"]) == 2

@@ -18,6 +18,7 @@ from lbforge.lagrangian import (
     psi_inverse_lift,
     quotient_ambient,
     rem,
+    tail_element,
     tail_monomials,
     tail_poly,
     triangular_complement,
@@ -808,3 +809,54 @@ def test_dual_basis_of_repeated_head(text, n):
     assert is_lagrangian(alg, w).ok
     for truncation in (0, 2, 6):
         assert dual_basis(alg, w, truncation) == dual_basis(alg, catalog_w0(alg, w.spec), truncation)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("text", ALL_CASES)
+def test_shifted_duals_equal_tail_elements(text, n):
+    # dual(x_i u^k), k >= 1, is m(t) t^{k-1} x^i: read off one m(t) x^i by a
+    # key shift, it equals tail_element's product, key order included
+    alg = build_sl(n)
+    w = catalog_w0(alg, CaseSpec.parse(text))
+    duals = {truncation: dual_basis(alg, w, truncation) for truncation in (0, 1, 6, 12)}
+    for truncation, got in duals.items():
+        assert [(i, k) for i, k, _ in got] == [
+            (i, k) for k in range(truncation + 1) for i in range(alg.dim)
+        ]
+        assert got == duals[12][: len(got)]
+    for i, k, el in duals[12][alg.dim:]:
+        dual = Sparse((a, g) for a, g in enumerate(alg.gram_inv[i]) if g)
+        want = tail_element(w, dual, k - 1)
+        assert el == want and list(el.loop.items()) == list(want.loop.items())
+        assert not el.fin and not el.eps
+
+
+@pytest.mark.parametrize("text", ALL_CASES)
+def test_dualbasis_command_runs_one_head_pass(text, monkeypatch):
+    # is_lagrangian and dual_basis read one head pass per W: the heads are
+    # paired (canonical_pairings) once each, not once per reader
+    import lbforge.lagrangian
+    from lbforge.cli import main
+
+    real = lbforge.lagrangian.canonical_pairings
+    calls = []
+
+    def counting(alg, spec, y, kmax):
+        calls.append(kmax)
+        return real(alg, spec, y, kmax)
+
+    monkeypatch.setattr(lbforge.lagrangian, "canonical_pairings", counting)
+    assert main(["dualbasis", "--algebra", "A:3", "--case", text, "--degree", "2",
+                 "--out", "/dev/null"]) == 0
+    assert len(calls) == build_sl(3).dim
+
+
+def test_head_pass_is_not_in_repr_or_equality():
+    # the tracer keys dual_basis on repr(w): the kept pass must not show there
+    spec = tp()
+    w = catalog_w0(ALG, spec)
+    before = repr(w)
+    assert is_lagrangian(ALG, w).ok
+    dual_basis(ALG, w, 2)
+    assert repr(w) == before and "_head_passes" not in before
+    assert w == catalog_w0(ALG, spec)

@@ -98,6 +98,15 @@ def test_gram_matches_trace_form(n):
             assert alg.gram[a][b] == mat_trace(mat_mul(mats[a], mats[b]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_gram_rows_are_the_nonzero_gram_entries(n):
+    alg = build_sl(n)
+    assert type(alg.gram_rows) is tuple and len(alg.gram_rows) == alg.dim
+    for a, row in enumerate(alg.gram_rows):
+        assert row == tuple((b, g) for b, g in enumerate(alg.gram[a]) if g)
+        assert all(type(g) is int for _, g in row)
+
+
 def form(alg, x: Sparse, y: Sparse) -> Fraction:
     """The trace form K(x, y) of two elements of g, extended bilinearly from
     the Gram matrix that ``test_gram_matches_trace_form`` checks."""
@@ -345,11 +354,11 @@ def test_build_sl_is_one_value_per_n():
 
 def test_algebra_fields_cannot_be_assigned():
     alg = build_sl(2)
-    for name in ("n", "basis", "struct", "gram", "ad"):
+    for name in ("n", "basis", "struct", "gram", "ad", "gram_rows"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(alg, name, None)
     assert all(type(getattr(alg, name)) is tuple
-               for name in ("positive_roots", "basis", "gram", "gram_inv", "ad"))
+               for name in ("positive_roots", "basis", "gram", "gram_inv", "ad", "gram_rows"))
     assert all(type(row) is tuple for row in alg.gram + alg.gram_inv)
 
 

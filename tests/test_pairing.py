@@ -312,6 +312,22 @@ def _reference_pairing_map(alg, spec, y, kmin, kmax):
     return out
 
 
+def _fold_onto_canonical(pmap, kmax):
+    """A pairing map from degree 0 folded onto the canonical basis: the loop
+    key (0, i, -k) and the jet key (1 + k, i) both land on (i, k)."""
+    out = Sparse()
+    for key, val in pmap.items():
+        k = -key[2] if key[0] == 0 else key[0] - 1
+        if k <= kmax:
+            out.iadd((key[1], k), val)
+    return out
+
+
+def _reference_canonical_pairings(alg, spec, y, kmax):
+    """canonical_pairings as the fold of the coords-keyed pairing map."""
+    return _fold_onto_canonical(pairing_map(alg, spec, y, 0, kmax), kmax)
+
+
 ALG3 = build_sl(3)
 
 
@@ -376,3 +392,55 @@ def test_embedded_polynomials_isotropic(text):
 def test_embed_negative_degree():
     with pytest.raises(InvalidParameterError):
         embed_canonical(CaseSpec.parse("I:constant"), basis_element(0), -1)
+
+
+@pytest.mark.parametrize("text", ALL_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_canonical_pairings_match_folded_map(text, data):
+    # the same values and key order as the fold of the coords-keyed map; the
+    # two-wrong duality witness test reads that order.  c H_1 + 2c H_2 pairs
+    # to 0 with H_1, in the loop and in a jet, so sums cancel on the way
+    spec = CaseSpec.parse(text)
+    s = spec.at_infinity
+    if spec.a_form == "two-points":
+        consts = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+        c1 = data.draw(consts.filter(bool))
+        c2 = data.draw(consts.filter(lambda c: c and c != c1))
+        spec = CaseSpec("I", "two-points", c1, c2)
+    h1, h2 = ALG3.h_index(1), ALG3.h_index(2)
+    degrees = list(range(-6, 4))
+    for _ in range(3):
+        y = _random_element(data.draw, spec, degrees, ALG3)
+        c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+        part = data.draw(st.sampled_from(["loop", *("fin", "eps")[:s]]))
+        if part == "loop":
+            l = data.draw(st.sampled_from(degrees))
+            y.loop.iadd((h1, l), c)
+            y.loop.iadd((h2, l), 2 * c)
+        else:
+            getattr(y, part).iadd(h1, c)
+            getattr(y, part).iadd(h2, 2 * c)
+        kmaxes = [data.draw(st.integers(s, s + 6))]
+        if s:
+            kmaxes.append(data.draw(st.integers(0, s - 1)))
+        for kmax in kmaxes:
+            got = canonical_pairings(ALG3, spec, y, kmax)
+            want = _reference_canonical_pairings(ALG3, spec, y, kmax)
+            assert got == want and list(got) == list(want)
+            assert all(type(v) is Fraction and v != 0 for v in got.values())
+            assert got == _fold_onto_canonical(_reference_pairing_map(ALG3, spec, y, 0, kmax), kmax)
+
+
+def test_canonical_pairings_order_when_a_jet_cancels_on_the_way():
+    # II:constant pairs H_1 u^0 and the finite H_1 to K(H_1, -) - K(H_1, -):
+    # the first finite term cancels the loop sums at (H_1, 0) and (H_2, 0),
+    # the second brings them back; the fold keeps them before (F, 0)
+    spec = CaseSpec.parse("II:constant")
+    h1, h2 = ALG3.h_index(1), ALG3.h_index(2)
+    y = DoubleElement(Sparse({(h1, 0): 1, (0, 0): 1}), fin=Sparse({h1: 1, h2: 1}))
+    got = canonical_pairings(ALG3, spec, y, 2)
+    want = _reference_canonical_pairings(ALG3, spec, y, 2)
+    assert list(got.items()) == list(want.items()) == [
+        ((h1, 0), Fraction(1)), ((h2, 0), Fraction(-2)), ((ALG3.f_index((1, 2)), 0), Fraction(1)),
+    ]
