@@ -291,16 +291,16 @@ def _pairing_sums(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, kmin: i
         for c in y.loop.values():
             dy = lcm(dy, c.denominator)
         for (j, l), c in y.loop.items():
-            kts = [(k, tnum[s - 1 - k - l]) for k in range(kmin, min(kmax, s - 1 - l) + 1)]
+            kts = [(k, t) for k in range(kmin, min(kmax, s - 1 - l) + 1)
+                   if (t := tnum[s - 1 - k - l])]
             if not kts:
                 continue
             cn = c.numerator * (dy // c.denominator)
             for i, g in rows[j]:
                 cg = cn * g
                 for k, t in kts:
-                    if t:
-                        key = (i, k)
-                        acc[key] = acc.get(key, 0) + cg * t
+                    key = (i, k)
+                    acc[key] = acc.get(key, 0) + cg * t
         scale = dy * dt
     jets = Sparse()
     for m in range(s):
@@ -336,6 +336,8 @@ def canonical_pairings(alg: LieAlgebraData, spec: CaseSpec, y: DoubleElement, km
     for key, v in acc.items():
         if v:
             out[key] = Fraction(v, scale)
+    # the jets are summed apart and added last, so a partial jet sum that
+    # passes through 0 moves no loop key in out's order
     for (i, m), v in jets.items():
         if m <= kmax:
             out.iadd((i, m), v)
