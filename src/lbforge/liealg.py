@@ -79,7 +79,7 @@ def build_sl(n: int) -> LieAlgebraData:
     one int row per nonzero bracket (sl_n's structure constants are integers),
     and ``gram_rows`` the nonzero entries of each Gram row as (index, int)
     pairs (the trace form is integral on this basis): one for an E or F
-    row, two or three for an H row.
+    row, at most three for an H row.
     """
     if n < 2:
         raise InvalidRankError(f"sl_n needs n >= 2, got {n}")
