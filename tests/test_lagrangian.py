@@ -832,7 +832,7 @@ def test_shifted_duals_equal_tail_elements(text, n):
 
 
 @pytest.mark.parametrize("text", ALL_CASES)
-def test_dualbasis_command_runs_one_head_pass(text, monkeypatch):
+def test_dualbasis_command_runs_one_head_pass(text, monkeypatch, tmp_path):
     # is_lagrangian and dual_basis read one head pass per W: the heads are
     # paired (canonical_pairings) once each, not once per reader
     import lbforge.lagrangian
@@ -847,7 +847,7 @@ def test_dualbasis_command_runs_one_head_pass(text, monkeypatch):
 
     monkeypatch.setattr(lbforge.lagrangian, "canonical_pairings", counting)
     assert main(["dualbasis", "--algebra", "A:3", "--case", text, "--degree", "2",
-                 "--out", "/dev/null"]) == 0
+                 "--out", str(tmp_path / "duals.json")]) == 0
     assert len(calls) == build_sl(3).dim
 
 
