@@ -182,8 +182,6 @@ def _check_duality(alg, r, spec, args):
     duals = dual_basis(alg, w, n)
     for (i, k, el) in duals:
         pairs = canonical_pairings(alg, spec, el, n)
-        if len(pairs) == 1 and pairs.get((i, k)) == 1:
-            continue
         # the canonical vectors x_j u^l, l <= n, that el pairs with wrongly:
         # its nonzero pairings other than a 1 with its partner, and the
         # partner when that pairing is 0; the witness is the least (l, j)

@@ -345,7 +345,8 @@ def dual_basis(alg, w: WPresentation, truncation: int):
     for b, parts in enumerate(corrected):
         for c, coeff in span.rows[b].items():
             if c >= n:
-                for acc, part in zip((duals[c - n].loop, *duals[c - n].jets), parts):
+                d = duals[c - n]
+                for acc, part in zip((d.loop, d.fin, d.eps), parts):
                     for key, v in part.items():
                         acc.iadd(key, coeff * v)
     return [(i, 0, el) for i, el in enumerate(duals)] + [
