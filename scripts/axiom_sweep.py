@@ -17,14 +17,13 @@ import json
 import sys
 import time
 
+from lbforge.cli import EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK
 from lbforge.cobracket import axiom_sweep, sweep_degrees
 from lbforge.errors import InvalidParameterError, LbforgeError
 from lbforge.liealg import build_sl
-from lbforge.pairing import FAMILY_POINTS, CaseSpec
+from lbforge.pairing import FAMILIES, CaseSpec
 from lbforge.rmatrix import build_r, catalog_rkind
 from lbforge.sparse import natural
-
-FAMILIES = ["I:two-points:1,2", *(f"{dt}:{form}" for dt, form in FAMILY_POINTS)]
 
 
 def main(argv=None):
@@ -38,16 +37,16 @@ def main(argv=None):
         alg, cap, cocycle_degree = read_flags(args)
     except LbforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_BAD_CONFIG
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             records = sweep_all(alg, cap, cocycle_degree)
             json.dump(records, fh, indent=2)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return EXIT_IO
     print(f"wrote {len(records)} records to {args.out}")
-    return 0 if all(rec["pass"] for rec in records) else 1
+    return EXIT_OK if all(rec["pass"] for rec in records) else EXIT_CHECK_FAILED
 
 
 def integer(text, flag):

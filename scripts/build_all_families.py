@@ -14,10 +14,7 @@ import sys
 from lbforge.cli import EXIT_BAD_CONFIG, EXIT_IO, parse_natural
 from lbforge.cli import main as cli_main
 from lbforge.errors import InvalidParameterError
-from lbforge.pairing import FAMILY_POINTS
-
-# the seven families, each built with its catalog constant part, the CLI default
-FAMILIES = ["I:two-points:1,2", *(f"{dt}:{form}" for dt, form in FAMILY_POINTS)]
+from lbforge.pairing import FAMILIES
 
 
 def main(argv=None):
@@ -40,6 +37,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     worst = 0
+    # each family built with its catalog constant part, the CLI default
     for case in FAMILIES:
         slug = case.replace(":", "_").replace(",", "_")
         path = outdir / f"{slug}.json"

@@ -321,8 +321,7 @@ def dual_basis(alg, w: WPresentation, truncation: int):
     _, kept = _head_pass(alg, w)
     n = len(kept)
     # the loop of m(t) x^j for each basis index j, x^j the trace-form dual
-    tails = [tail_element(w, Sparse((a, g) for a, g in enumerate(row) if g), 0).loop
-             for row in alg.gram_inv]
+    tails = [tail_element(w, Sparse(row), 0).loop for row in alg.dual_rows]
     rows = [Sparse({n + j: 1}) for j in range(alg.dim)]
     corrected = []
     for b, (h, pairs) in enumerate(kept):

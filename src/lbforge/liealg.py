@@ -12,11 +12,10 @@ Elements of g are ``Sparse`` maps basis index -> Fraction; tensors in
 g (x) g and g (x) g (x) g carry index pairs / triples as keys.
 
 ``build_sl`` is memoised per n, so every caller in a process shares one
-``LieAlgebraData``: it is frozen, its sequences are tuples, and no code
-writes to the ``Sparse`` values of its ``struct``.  Beside ``struct`` it
-carries the integer ad table ``ad``, which ``bracket3`` and the cobracket
-read, and beside the dense ``gram`` its sparse integer rows ``gram_rows``,
-which the pairing reads.
+``LieAlgebraData``: it is frozen and built from tuples all the way down.
+It holds each invariant of g once: the bracket as the integer ad table
+``ad``, the trace form as its sparse integer rows ``gram_rows``, and the
+form-dual basis as the sparse rows ``dual_rows``.
 """
 
 from __future__ import annotations
@@ -36,13 +35,12 @@ class LieAlgebraData:
     rank: int
     positive_roots: tuple
     basis: tuple
-    struct: dict  # (i, j) -> Sparse over basis indices, i != j
-    gram: tuple  # dense symmetric matrix of the trace form, rows as tuples
-    gram_inv: tuple = field(repr=False)
-    # ad[x][y]: [b_x, b_y] as a tuple of (m, int c), struct's order; () when zero
+    # ad[x][y]: [b_x, b_y] as a tuple of (m, int c); () when zero
     ad: tuple = field(repr=False)
-    # gram_rows[x]: the nonzero entries of gram[x] as a tuple of (m, int g), in index order
+    # gram_rows[x]: the nonzero trace forms K(b_x, b_m) as a tuple of (m, int g), in index order
     gram_rows: tuple = field(repr=False)
+    # dual_rows[x]: the form-dual b^x = sum c b_m as a tuple of (m, Fraction c), in index order
+    dual_rows: tuple = field(repr=False)
 
     @property
     def dim(self):
@@ -72,14 +70,13 @@ def build_sl(n: int) -> LieAlgebraData:
     """sl_n with the trace form, one value per n in a process; raises on n < 2.
 
     Each basis element is at most two matrix units, so its brackets follow
-    from [e_ij, e_kl] = d_jk e_il - d_li e_kj.  The Gram matrix pairs E(alpha)
-    with F(alpha) to 1 and is the Cartan matrix (2 on the diagonal, -1 next
-    to it) on the H block; its inverse also pairs E(alpha) with F(alpha) to 1
-    and is min(k, l) (n - max(k, l)) / n on the H block.  The ad table holds
-    one int row per nonzero bracket (sl_n's structure constants are integers),
-    and ``gram_rows`` the nonzero entries of each Gram row as (index, int)
-    pairs (the trace form is integral on this basis): one for an E or F
-    row, at most three for an H row.
+    from [e_ij, e_kl] = d_jk e_il - d_li e_kj; the ad table holds them as one
+    int row per basis pair (sl_n's structure constants are integers).  The
+    trace form pairs E(alpha) with F(alpha) to 1 and is the Cartan matrix (2
+    on the diagonal, -1 next to it) on the H block, so ``gram_rows`` has one
+    entry in an E or F row and at most three in an H row.  The dual basis
+    also pairs E(alpha) with F(alpha) to 1 and is min(k, l) (n - max(k, l)) / n
+    on the H block, so a ``dual_rows`` H row is the whole H block.
     """
     if n < 2:
         raise InvalidRankError(f"sl_n needs n >= 2, got {n}")
@@ -91,54 +88,37 @@ def build_sl(n: int) -> LieAlgebraData:
         + [((k, k, 1), (k + 1, k + 1, -1)) for k in range(1, n)]
     )
     offdiag = {u[0][:2]: a for a, u in enumerate(units[:2 * npos])}  # E/F index
-    struct = {}
-    for a, x in enumerate(units):
-        for b, y in enumerate(units):
-            if a == b:
-                continue
-            comm = {}
-            for p, q, s in ((x, y, 1), (y, x, -1)):
-                for i, j, c in p:
-                    for k, l, d in q:
-                        if j == k:
-                            comm[i, l] = comm.get((i, l), 0) + s * c * d
-            coords = [(offdiag[key], c) for key, c in comm.items() if key in offdiag]
-            if any(i == j for i, j in comm):
-                # diagonal part: partial sums give the H coordinates
-                acc = 0
-                for k in range(1, n):
-                    acc += comm.get((k, k), 0)
-                    coords.append((2 * npos + k - 1, acc))
-            coords = Sparse(coords)
-            if coords:
-                struct[(a, b)] = coords
-    dim = len(units)
-    gram = [[Fraction(0)] * dim for _ in range(dim)]
-    gram_inv = [[Fraction(0)] * dim for _ in range(dim)]
-    for a in range(npos):
-        for m in (gram, gram_inv):
-            m[a][npos + a] = m[npos + a][a] = Fraction(1)
-    for k in range(1, n):
-        for l in range(1, n):
-            a, b = 2 * npos + k - 1, 2 * npos + l - 1
-            gram[a][b] = Fraction({0: 2, 1: -1}.get(abs(k - l), 0))
-            gram_inv[a][b] = Fraction(min(k, l) * (n - max(k, l)), n)
-    ad = tuple(
-        tuple(tuple((m, c.numerator) for m, c in struct[a, b].items()) if (a, b) in struct else ()
-              for b in range(dim))
-        for a in range(dim)
-    )
-    gram_rows = tuple(tuple((b, g.numerator) for b, g in enumerate(row) if g) for row in gram)
+    partner = [(a + npos) % (2 * npos) for a in range(2 * npos)]  # E(alpha) <-> F(alpha)
+    h = 2 * npos - 1  # H(k) is basis index h + k
+
+    def ad_row(x, y):
+        comm = {}
+        for p, q, s in ((x, y, 1), (y, x, -1)):
+            for i, j, c in p:
+                for k, l, d in q:
+                    if j == k:
+                        comm[i, l] = comm.get((i, l), 0) + s * c * d
+        coords = [(offdiag[key], c) for key, c in comm.items() if key in offdiag]
+        if any(i == j for i, j in comm):
+            # diagonal part: partial sums give the H coordinates
+            acc = 0
+            for k in range(1, n):
+                acc += comm.get((k, k), 0)
+                coords.append((h + k, acc))
+        return tuple((m, c) for m, c in coords if c)
+
     return LieAlgebraData(
         n=n,
         rank=n - 1,
         positive_roots=tuple(roots),
         basis=tuple(sl_labels(n)),
-        struct=struct,
-        gram=tuple(map(tuple, gram)),
-        gram_inv=tuple(map(tuple, gram_inv)),
-        ad=ad,
-        gram_rows=gram_rows,
+        ad=tuple(tuple(ad_row(x, y) for y in units) for x in units),
+        gram_rows=tuple(((b, 1),) for b in partner)
+        + tuple(tuple((h + l, 2 if k == l else -1) for l in range(1, n) if abs(k - l) <= 1)
+                for k in range(1, n)),
+        dual_rows=tuple(((b, Fraction(1)),) for b in partner)
+        + tuple(tuple((h + l, Fraction(min(k, l) * (n - max(k, l)), n)) for l in range(1, n))
+                for k in range(1, n)),
     )
 
 
@@ -152,11 +132,10 @@ def bracket(alg: LieAlgebraData, x: Sparse, y: Sparse, out: Sparse = None) -> Sp
     """[x, y], added into ``out`` when given."""
     out = Sparse() if out is None else out
     for i, ci in x.items():
+        ad_i = alg.ad[i]
         for j, cj in y.items():
-            sc = alg.struct.get((i, j))
-            if sc:
-                for k, ck in sc.items():
-                    out.iadd(k, ci * cj * ck)
+            for k, ck in ad_i[j]:
+                out.iadd(k, ci * cj * ck)
     return out
 
 
@@ -167,32 +146,21 @@ def bracket_poly(alg: LieAlgebraData, f: Sparse, g: Sparse) -> Sparse:
     """
     out = Sparse()
     for (i, a), ci in f.items():
+        ad_i = alg.ad[i]
         for (j, b), cj in g.items():
-            sc = alg.struct.get((i, j))
-            if sc:
-                for k, ck in sc.items():
-                    out.iadd((k, a + b), ci * cj * ck)
+            for k, ck in ad_i[j]:
+                out.iadd((k, a + b), ci * cj * ck)
     return out
 
 
-_ZERO = Sparse()
-
-
 def bracket_basis(alg: LieAlgebraData, i: int, j: int) -> Sparse:
-    """[b_i, b_j], shared with ``alg.struct`` (one shared empty ``Sparse``
-    when it is zero): callers must not mutate the result."""
-    return alg.struct.get((i, j), _ZERO)
+    """[b_i, b_j] as a fresh ``Sparse``."""
+    return Sparse(alg.ad[i][j])
 
 
 def casimir(alg: LieAlgebraData) -> Sparse:
     """Omega = sum_i b_i (x) b^i over the form-dual basis."""
-    out = Sparse()
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            c = alg.gram_inv[j][i]
-            if c:
-                out.iadd((i, j), c)
-    return out
+    return Sparse(((i, m), c) for i, row in enumerate(alg.dual_rows) for m, c in row)
 
 
 def swap2(t: Sparse) -> Sparse:

@@ -74,6 +74,8 @@ FAMILY_POINTS = {
     ("II", "constant"): (0, None),
     ("III", "constant"): (None, None),
 }
+# the seven families, I:two-points at the points (1, 2) of its catalog file
+FAMILIES = ("I:two-points:1,2", *(f"{dt}:{form}" for dt, form in FAMILY_POINTS))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from lbforge import cli, pairing, serialize
 from lbforge.errors import LbforgeError, MalformedInputError
 from lbforge.cli import main
 from lbforge.lagrangian import WPresentation, catalog_w0
-from lbforge.liealg import build_sl
+from lbforge.liealg import build_sl, r_dj, wedge_sum
 from lbforge.pairing import CaseSpec, DoubleElement, canonical_pairings
 from lbforge.ratfun import BivarRat, bivar, poly2
 from lbforge.rmatrix import SpectralTensor2, build_r, catalog_rkind
@@ -214,12 +214,17 @@ def test_entry_degree_above_cap_is_malformed(tmp_path, monkeypatch, capsys, fiel
     assert "Traceback" not in err
 
 
-def _with_rank(tmp_path, rank):
+def _with_value(tmp_path, keys, value):
+    """A built sl_2 two-points file with the value at the key path ``keys`` replaced."""
     doc = json.loads(build_file(tmp_path).read_text())
-    doc["algebra"]["rank"] = rank
-    path = tmp_path / "ranked.json"
-    path.write_text(json.dumps(doc))
-    return path
+    *path, last = keys
+    node = doc
+    for key in path:
+        node = node[key]
+    node[last] = value
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(doc))
+    return out
 
 
 @pytest.mark.parametrize(
@@ -229,8 +234,26 @@ def _with_rank(tmp_path, rank):
      (-3, "rank must be >= 2")],
 )
 def test_bad_file_rank_is_malformed(tmp_path, capsys, rank, message):
-    assert main(["verify", "--in", str(_with_rank(tmp_path, rank))]) == 3
+    assert main(["verify", "--in", str(_with_value(tmp_path, ("algebra", "rank"), rank))]) == 3
     assert message in capsys.readouterr().err
+
+
+REJECTED_FILES = {
+    "type-B": (("algebra", "type"), "B", "unsupported algebra type 'B'"),
+    "algebra-5": (("algebra",), 5, "bad algebra record"),
+    "den_scale-0": (("entries", 0, "den_scale"), "0", "zero denominator scale"),
+    "short-monomial": (("entries", 0, "num", 0), [1, 2], "malformed tensor document"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_FILES))
+def test_rejected_tensor_file_exits_3_with_one_error_line(tmp_path, capsys, name):
+    keys, value, message = REJECTED_FILES[name]
+    path = _with_value(tmp_path, keys, value)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err, message)
 
 
 def test_file_rank_is_capped(tmp_path, monkeypatch, capsys):
@@ -326,9 +349,10 @@ def test_integer_option_is_ascii_digits(tmp_path, capsys, where, value):
         (["dualbasis", "--degree", "3"], "the following arguments are required: --case"),
         (["table", "IV", "simple"], "argument double_type: invalid choice: 'IV'"),
         (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["build", "--case", "I:constant", "--r", "bogus"], "unknown constant part 'bogus'"),
     ],
     ids=["dash value", "double-dash value", "missing case", "bad table type",
-         "unknown subcommand"],
+         "unknown subcommand", "unknown constant part"],
 )
 def test_argument_rejections_return_2(capsys, argv, message):
     # argparse's own rejections keep the exit contract: main returns 2 with
@@ -360,7 +384,7 @@ def test_integer_options_read_in_every_check_selection(tmp_path, capsys):
 def test_file_basis_is_compared_before_the_algebra_is_built(tmp_path, monkeypatch, capsys, rank):
     # an sl_2 basis under another rank; with no LBFORGE_MAX_RANK, only the
     # comparison of labels keeps a huge rank from being built
-    path = _with_rank(tmp_path, rank)
+    path = _with_value(tmp_path, ("algebra", "rank"), rank)
     monkeypatch.delenv("LBFORGE_MAX_RANK", raising=False)
 
     def refuse(n):
@@ -487,6 +511,37 @@ def test_build_jordanian_and_file_parts(tmp_path):
     assert code == 0
     ref = build_file(tmp_path, "I:two-points:1,2", "dj")
     assert out2.read_text() == ref.read_text()
+
+
+def _const_file(tmp_path, alg, value):
+    """``value``, a constant 2-tensor, written as a ``--r file:`` document."""
+    doc = {"entries": [{"i": alg.basis[i], "j": alg.basis[j], "c": str(c)}
+                       for (i, j), c in value.items()]}
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_build_file_part_skew(tmp_path, capsys):
+    # E(1,2) (x) H(1) - H(1) (x) E(1,2) has r + r21 = 0: classified as a skew datum
+    path = _const_file(tmp_path, ALG, Sparse({(0, 2): 1, (2, 0): -1}))
+    out = tmp_path / "r.json"
+    argv = ["build", "--case", "I:constant", "--r", f"file:{path}", "--out", str(out)]
+    assert main(argv) == 0
+    assert main(["verify", "--in", str(out), "--checks", "cybe,skew"]) == 0
+    doc = json.loads(out.read_text())
+    assert {(e["i"], e["j"]) for e in doc["entries"]} >= {("E(1,2)", "H(1)"), ("H(1)", "E(1,2)")}
+
+
+def test_build_file_part_that_is_no_solution(tmp_path, capsys):
+    # r_DJ + 1/2 wedge_sum has r + r21 = Omega, but CYB(r) != 0
+    value = r_dj(ALG) + Fraction(1, 2) * wedge_sum(ALG)
+    path = _const_file(tmp_path, ALG, value)
+    argv = ["build", "--case", "I:two-points:1,2", "--r", f"file:{path}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err, "CYB(r) must vanish")
 
 
 # -- verify -------------------------------------------------------------------
@@ -763,6 +818,30 @@ def test_unreadable_file_exits_3_with_one_error_line(tmp_path, capsys, name, com
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read {path}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [{"entries": 5}, [1, 2]], ids=["entries-5", "list"])
+def test_rejected_constant_file_exits_3_with_one_error_line(tmp_path, capsys, doc):
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps(doc))
+    assert main(["build", "--case", "I:constant", "--r", f"file:{path}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err, "malformed constant tensor")
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [(["--case", "I:two-points:1,2", "--checks", "duality", "--degree", "0"],
+      "degree must be >= 1"),
+     (["--case", "I:constant", "--checks", "equiv"], "equiv check needs a two-points --case")],
+    ids=["duality-degree-0", "equiv-constant"],
+)
+def test_rejected_verify_option_exits_2_with_one_error_line(tmp_path, capsys, options, message):
+    path = build_file(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(path), *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err, message)
 
 
 def test_verify_duality_needs_case(tmp_path):

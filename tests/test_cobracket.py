@@ -16,7 +16,7 @@ from lbforge.cobracket import (
     check_skew,
     delta,
 )
-from lbforge.liealg import basis_element, bracket_basis, build_sl, jordanian
+from lbforge.liealg import basis_element, build_sl, jordanian
 from lbforge.lagrangian import catalog_w0
 from lbforge.pairing import CaseSpec
 from lbforge.ratfun import bivar, poly2
@@ -30,7 +30,7 @@ from lbforge.rmatrix import (
     sum_dual_series,
 )
 from lbforge.sparse import Sparse
-from test_liealg import ad_action2
+from test_liealg import ad_action2, oracle
 
 ALG = build_sl(2)
 YANG = kernel_tensor(ALG, poly2({(0, 0): 1}))  # Omega/(v-u)
@@ -373,6 +373,17 @@ def test_sweep_checks_each_unordered_pair_once(monkeypatch, cocycle_degree):
     assert len(brackets) == len(calls)
 
 
+def test_direct_checks_fail_a_non_polynomial_cobracket():
+    # without cobracket=, skew and co-Jacobi compute delta(E) themselves and
+    # read its NotPolynomialError as a failure
+    r, e = _without_f_e(ALG, YANG), Sparse({(0, 0): 1})
+    with pytest.raises(NotPolynomialError):
+        delta(ALG, r, e)
+    assert check_skew(ALG, r, e) is False
+    assert check_cojacobi(ALG, r, e) is False
+    assert check_skew(ALG, YANG, e) is True and check_cojacobi(ALG, YANG, e) is True
+
+
 def test_sweep_records_non_polynomial_cobrackets_as_failures(monkeypatch):
     r = _without_f_e(ALG, YANG)
     keys = _count_delta(monkeypatch)
@@ -491,15 +502,16 @@ def _random_element(rng, alg, terms):
 
 
 def test_ad_table_rows_are_the_integer_brackets():
-    # the algebra's table, read by every sweep and by bracket3: int rows in struct's order
+    # the algebra's table, read by every sweep and by bracket3: int rows, in
+    # index order, of the oracle's matrix commutators
     for n in (2, 3, 4, 5):
-        alg = build_sl(n)
+        alg, struct = build_sl(n), oracle(n).struct
         assert len(alg.ad) == alg.dim
         for x, rows in enumerate(alg.ad):
             assert len(rows) == alg.dim
             for i, row in enumerate(rows):
                 assert all(type(c) is int for _, c in row)
-                assert list(row) == list(bracket_basis(alg, x, i).items())
+                assert list(row) == list(struct[x][i].items())
 
 
 def test_ad_table_delta_matches_direct():

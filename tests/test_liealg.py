@@ -1,7 +1,8 @@
 """The matrix realization is checked against an independent oracle: plain
-Fraction matrices multiplied entrywise, with no shared code path."""
+integer matrices multiplied entrywise, with no shared code path."""
 
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -28,26 +29,26 @@ from lbforge.liealg import (
 )
 from lbforge.pairing import CaseSpec
 from lbforge.rmatrix import build_r, catalog_rkind
-from lbforge.sparse import Sparse
+from lbforge.sparse import Sparse, gauss_solve
 
 
-# -- oracle: dense Fraction matrices ------------------------------------------
+# -- oracle: dense integer matrices --------------------------------------------
 
 def dense_basis(n):
-    """E/F/H basis as dense matrices, in the package's basis order."""
+    """E/F/H basis as dense integer matrices, in the package's basis order."""
     roots = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
     def unit(i, j):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i - 1][j - 1] = Fraction(1)
+        m = [[0] * n for _ in range(n)]
+        m[i - 1][j - 1] = 1
         return m
 
     mats = [unit(i, j) for (i, j) in roots]
     mats += [unit(j, i) for (i, j) in roots]
     for i in range(1, n):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i - 1][i - 1] = Fraction(1)
-        m[i][i] = Fraction(-1)
+        m = [[0] * n for _ in range(n)]
+        m[i - 1][i - 1] = 1
+        m[i][i] = -1
         mats.append(m)
     return mats
 
@@ -68,9 +69,38 @@ def mat_trace(a):
     return sum(a[i][i] for i in range(len(a)))
 
 
+@dataclasses.dataclass(frozen=True)
+class Oracle:
+    """sl_n's invariants from its matrix units alone, sharing no code with
+    ``build_sl``.  gram[a][b] = tr(b_a b_b); dual[a] is the row of b^a =
+    sum_m dual[a][m] b_m, the inverse of gram; struct[a][b] is {m: c} with
+    [b_a, b_b] = sum_m c b_m, each commutator solved for in the matrix
+    units by dense elimination."""
+
+    mats: list
+    gram: list
+    dual: list
+    struct: list
+
+
+@functools.cache
+def oracle(n) -> Oracle:
+    mats = dense_basis(n)
+    dim = len(mats)
+    gram = [[mat_trace(mat_mul(x, y)) for y in mats] for x in mats]
+    dual = gauss_solve(gram, [[int(a == b) for b in range(dim)] for a in range(dim)])
+    comms = [sum(mat_sub(mat_mul(x, y), mat_mul(y, x)), []) for x in mats for y in mats]
+    flat = [sum(m, []) for m in mats]
+    coords = gauss_solve([[v[p] for v in flat] for p in range(n * n)],
+                         [[c[p] for c in comms] for p in range(n * n)])
+    struct = [[{m: coords[m][a * dim + b] for m in range(dim) if coords[m][a * dim + b]}
+               for b in range(dim)] for a in range(dim)]
+    return Oracle(mats, gram, dual, struct)
+
+
 def to_dense(alg, x: Sparse, mats):
     n = len(mats[0])
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for idx, c in x.items():
         for i in range(n):
             for j in range(n):
@@ -80,22 +110,27 @@ def to_dense(alg, x: Sparse, mats):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_structure_constants_match_matrix_commutators(n):
-    alg = build_sl(n)
-    mats = dense_basis(n)
+    alg, orc = build_sl(n), oracle(n)
+    mats = orc.mats
+    assert type(alg.ad) is tuple and len(alg.ad) == alg.dim
     for a in range(alg.dim):
+        assert len(alg.ad[a]) == alg.dim
         for b in range(alg.dim):
             expected = mat_sub(mat_mul(mats[a], mats[b]), mat_mul(mats[b], mats[a]))
             got = to_dense(alg, bracket_basis(alg, a, b), mats)
             assert got == expected, (alg.basis[a], alg.basis[b])
+            row = alg.ad[a][b]
+            assert row == tuple(orc.struct[a][b].items()), (alg.basis[a], alg.basis[b])
+            assert all(type(c) is int for _, c in row)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_gram_matches_trace_form(n):
-    alg = build_sl(n)
-    mats = dense_basis(n)
+    alg, mats = build_sl(n), dense_basis(n)
     for a in range(alg.dim):
+        row = dict(alg.gram_rows[a])
         for b in range(alg.dim):
-            assert alg.gram[a][b] == mat_trace(mat_mul(mats[a], mats[b]))
+            assert row.get(b, 0) == mat_trace(mat_mul(mats[a], mats[b]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -103,26 +138,36 @@ def test_gram_rows_are_the_nonzero_gram_entries(n):
     alg = build_sl(n)
     assert type(alg.gram_rows) is tuple and len(alg.gram_rows) == alg.dim
     for a, row in enumerate(alg.gram_rows):
-        assert row == tuple((b, g) for b, g in enumerate(alg.gram[a]) if g)
+        assert row == tuple((b, g) for b, g in enumerate(oracle(n).gram[a]) if g)
         assert all(type(g) is int for _, g in row)
 
 
 def form(alg, x: Sparse, y: Sparse) -> Fraction:
     """The trace form K(x, y) of two elements of g, extended bilinearly from
-    the Gram matrix that ``test_gram_matches_trace_form`` checks."""
+    the oracle's trace form of the matrix units."""
+    gram = oracle(alg.n).gram
     return sum(
-        (ci * cj * alg.gram[i][j] for i, ci in x.items() for j, cj in y.items()),
+        (ci * cj * gram[i][j] for i, ci in x.items() for j, cj in y.items()),
         Fraction(0),
     )
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_gram_inverse_is_inverse(n):
+    # dual_rows x gram_rows = identity, gram_rows being checked against the trace form
     alg = build_sl(n)
-    for a, row in enumerate(alg.gram):
-        for b in range(alg.dim):
-            entry = sum((x * alg.gram_inv[k][b] for k, x in enumerate(row) if x), Fraction(0))
-            assert entry == (1 if a == b else 0), (alg.basis[a], alg.basis[b])
+    assert type(alg.dual_rows) is tuple and len(alg.dual_rows) == alg.dim
+    for a, row in enumerate(alg.dual_rows):
+        assert [m for m, _ in row] == sorted(m for m, _ in row)
+        assert all(type(c) is Fraction and c for _, c in row)
+        entry = Sparse()
+        for m, c in row:
+            for b, g in alg.gram_rows[m]:
+                entry.iadd(b, c * g)
+        assert entry == Sparse({a: 1}), alg.basis[a]
+    if n <= 6:
+        assert alg.dual_rows == tuple(tuple((m, c) for m, c in enumerate(row) if c)
+                                      for row in oracle(n).dual)
 
 
 def test_sl2_frozen_table():
@@ -268,16 +313,18 @@ SL2, SL3 = build_sl(2), build_sl(3)
 
 def cyb_loop(alg, r):
     """CYB(r) by one loop over pairs of entries: the three-term expansion
-    [r12, r13] + [r12, r23] + [r13, r23] written out index by index."""
+    [r12, r13] + [r12, r23] + [r13, r23] written out index by index, on the
+    oracle's structure constants."""
+    struct = oracle(alg.n).struct
     out = Sparse()
     for (i, j), c in r.items():
         for (k, l), d in r.items():
             cd = c * d
-            for m, cm in bracket_basis(alg, i, k).items():
+            for m, cm in struct[i][k].items():
                 out.iadd((m, j, l), cd * cm)
-            for m, cm in bracket_basis(alg, j, k).items():
+            for m, cm in struct[j][k].items():
                 out.iadd((i, m, l), cd * cm)
-            for m, cm in bracket_basis(alg, j, l).items():
+            for m, cm in struct[j][l].items():
                 out.iadd((i, k, m), cd * cm)
     return out
 
@@ -352,14 +399,22 @@ def test_build_sl_is_one_value_per_n():
     assert build_sl(2) is not build_sl(3)
 
 
+def immutable(value):
+    """True for an int, str or Fraction, or a tuple of such values at every depth."""
+    if type(value) is tuple:
+        return all(immutable(v) for v in value)
+    return type(value) in (int, str, Fraction)
+
+
 def test_algebra_fields_cannot_be_assigned():
     alg = build_sl(2)
-    for name in ("n", "basis", "struct", "gram", "ad", "gram_rows"):
+    for name in ("n", "basis", "ad", "gram_rows", "dual_rows"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(alg, name, None)
+    assert [f.name for f in dataclasses.fields(alg)] == [
+        "n", "rank", "positive_roots", "basis", "ad", "gram_rows", "dual_rows"]
     assert all(type(getattr(alg, name)) is tuple
-               for name in ("positive_roots", "basis", "gram", "gram_inv", "ad", "gram_rows"))
-    assert all(type(row) is tuple for row in alg.gram + alg.gram_inv)
+               for name in ("positive_roots", "basis", "ad", "gram_rows", "dual_rows"))
 
 
 def test_shared_algebra_is_unchanged_by_its_callers(tmp_path, capsys):
@@ -382,17 +437,17 @@ def test_shared_algebra_is_unchanged_by_its_callers(tmp_path, capsys):
         shared, fresh = build_sl(n), build_sl.__wrapped__(n)
         assert shared is not fresh
         for f in dataclasses.fields(shared):
+            # tuples all the way down: no caller can have written to them
+            assert immutable(getattr(shared, f.name)), (n, f.name)
             assert getattr(shared, f.name) == getattr(fresh, f.name), (n, f.name)
-        assert list(shared.struct) == list(fresh.struct)
-        for key, value in fresh.struct.items():
-            assert shared.struct[key] == value and all(type(c) is Fraction for c in shared.struct[key].values())
 
 
-# -- bracket3 against its per-pair bracket_basis loop ------------------------------
+# -- bracket3 against its per-pair loop on the oracle's structure constants --------
 
 def bracket3_loop(alg, ta, tb, legs_a, legs_b):
-    """bracket3 as one bracket_basis call per pair of shared-leg indices,
-    each structure constant turned into an int: the oracle of the ad-table form."""
+    """bracket3 as one lookup of the oracle's structure constants per pair of
+    shared-leg indices, each turned into an int: the oracle of the ad-table form."""
+    struct = oracle(alg.n).struct
     c = (set(legs_a) & set(legs_b)).pop()
     ia, ib = legs_a.index(c), legs_b.index(c)
     oa, ob = legs_a[1 - ia], legs_b[1 - ib]
@@ -403,7 +458,7 @@ def bracket3_loop(alg, ta, tb, legs_a, legs_b):
     out, met, key = {}, False, [0, 0, 0]
     for x, rows_a in by_a.items():
         for y, rows_b in by_b.items():
-            for m, s in bracket_basis(alg, x, y).items():
+            for m, s in struct[x][y].items():
                 met, key[c] = True, m
                 s = s.numerator if s.denominator == 1 else s
                 for key[oa], ca in rows_a:

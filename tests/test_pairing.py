@@ -21,7 +21,7 @@ from lbforge.pairing import (
 )
 from lbforge.ratfun import expand_at_zero
 from lbforge.sparse import Sparse
-from test_liealg import form
+from test_liealg import form, oracle
 from test_ratfun import residue
 
 ALG = build_sl(2)
@@ -205,11 +205,12 @@ def test_q_form_symmetric_and_bilinear(text, data):
 
 
 def _k_laurent(f1: Sparse, f2: Sparse) -> Sparse:
-    """K(f1(u), f2(u)) as a Laurent scalar, straight from the Gram matrix."""
+    """K(f1(u), f2(u)) as a Laurent scalar, straight from the oracle's trace form."""
+    gram = oracle(ALG.n).gram
     out = Sparse()
     for (i, k), c1 in f1.items():
         for (j, l), c2 in f2.items():
-            out.iadd(k + l, c1 * c2 * ALG.gram[i][j])
+            out.iadd(k + l, c1 * c2 * gram[i][j])
     return out
 
 
@@ -294,19 +295,20 @@ def _reference_pairing_map(alg, spec, y, kmin, kmax):
     for each loop term b x_j u^l of y and k in [kmin, kmax], then the finite
     and dual-number blocks."""
     s = ("I", "II", "III").index(spec.double_type)
+    gram = oracle(alg.n).gram
     if y.loop:
         top = s - 1 - kmin - min(l for _, l in y.loop)
         taylor = expand_at_zero(spec.a(), top) if top >= 0 else ()
     out = Sparse()
     for (j, l), c in y.loop.items():
-        for i, g in enumerate(alg.gram[j]):
+        for i, g in enumerate(gram[j]):
             if g:
                 for k in range(kmin, min(kmax, s - 1 - l) + 1):
                     out.iadd((0, i, -k), c * g * taylor[s - 1 - k - l])
     finite = ((1, y.eps), (2, y.fin)) if spec.double_type == "III" else ((1, y.fin),)
     for tag, part in finite:
         for j, c in part.items():
-            for i, g in enumerate(alg.gram[j]):
+            for i, g in enumerate(gram[j]):
                 if g:
                     out.iadd((tag, i), -c * g)
     return out
