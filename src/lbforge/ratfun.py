@@ -3,7 +3,8 @@ series at 0, and bivariate rational functions num/(v - u)^k in lowest terms
 (``bivar``); their scaling and affine substitution are tensor passes.
 
 Polynomials are ``Sparse`` maps exponent -> Fraction; univariate keys are
-ints, bivariate keys are (deg_u, deg_v) pairs.
+ints, bivariate keys are (deg_u, deg_v) pairs.  A num with no (v - u)
+factor is in lowest terms after one pass, the remainder num(u, u).
 """
 
 from __future__ import annotations
@@ -95,31 +96,37 @@ class BivarRat:
         return bivar(a + b, k)
 
 
-_VU = Sparse({(0, 1): Fraction(1), (1, 0): Fraction(-1)})  # v - u
-
-
-def mul_vu_pow(num: Sparse, extra: int) -> Sparse:
-    """num(u, v) * (v - u)^extra."""
-    for _ in range(extra):
-        num = poly_mul(num, _VU)
-    return num
+def mul_vu_pow(num, extra: int):
+    """num(u, v) * (v - u)^extra, of num's type (``Sparse`` or a dict of ints):
+    one product with the binomial row sum_i C(extra, i) (-1)^i u^i v^(extra - i)."""
+    if not extra:
+        return num
+    row, c = {}, 1
+    for i in range(extra + 1):
+        row[i, extra - i] = c
+        c = -c * (extra - i) // (i + 1)
+    return poly_mul(num, row)
 
 
 def bivar(num: Sparse, den_pow: int = 0) -> BivarRat:
-    """Canonical BivarRat: cancel every (v - u) factor shared with num."""
+    """Canonical BivarRat: cancel every (v - u) factor shared with num.  Each
+    step sums num's coefficients by total degree, the remainder num(u, u) of
+    the division by (v - u), and divides only when that vanishes."""
     if num.is_zero():
         return BivarRat(Sparse(), 0)
     while den_pow > 0:
-        quot, rem = poly2_divide_vu(num)
-        if not rem.is_zero():
+        diag = {}
+        for (a, b), c in num.items():
+            diag[a + b] = diag.get(a + b, 0) + c
+        if any(diag.values()):
             break
-        num = quot
+        num = poly2_divide_vu(num)[0]
         den_pow -= 1
     return BivarRat(num, den_pow)
 
 
 def bivar_swap_vars(f: BivarRat) -> BivarRat:
-    """f(v, u): swap the two variables; (u - v)^k renormalizes by (-1)^k."""
-    num = Sparse((((b, a), c) for (a, b), c in f.num.items()))
-    sign = Fraction(-1) ** f.den_pow
-    return BivarRat(sign * num, f.den_pow)
+    """f(v, u): swap the two variables; (u - v)^k = -(v - u)^k for odd k."""
+    odd = f.den_pow % 2
+    return BivarRat(Sparse(((b, a), -c if odd else c) for (a, b), c in f.num.items()),
+                    f.den_pow)

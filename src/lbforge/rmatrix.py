@@ -26,9 +26,10 @@ Spectral CYBE runs on r = sum phi(u, v)/(v-u)^d (x) T, phi spanning each
 denominator class d (rank <= 2 for the families), T coprime integers so the
 constant brackets (``liealg.bracket3``, which ``cyb`` also sums for the
 constant data behind ``RKind``) are int-only: they read the algebra's
-integer ad table, formed once per n by ``build_sl``.  The products are
-summed by Kronecker substitution: each monomial present in some product
-owns one w-bit slot, a product becomes the one int sum c 2^(w slot) of its
+integer ad table, formed once per n by ``build_sl``.  phi is an int
+numerator over its lcm, and the products are formed in ints and summed by
+Kronecker substitution: each monomial present in some product owns one
+w-bit slot, a product becomes the one int sum c 2^(w slot) of its
 coefficients over the common denominator, and each bracket entry adds
 br * packed to its key.  w is one more than the bit length of a bound on
 every summed coefficient, so the balanced w-bit digits of each key's int
@@ -135,11 +136,11 @@ def from_constant(t: Sparse) -> SpectralTensor2:
 
 
 def kernel_tensor(alg, num: Sparse) -> SpectralTensor2:
-    """num(u, v)/(v - u) times the Casimir tensor."""
-    out = SpectralTensor2()
-    for key, c in casimir(alg).items():
-        out.add_entry(key, bivar(c * num, 1))
-    return out
+    """num(u, v)/(v - u) times the Casimir tensor: num/(v - u) is put in
+    lowest terms once, and a nonzero Casimir coefficient keeps them."""
+    red = bivar(num, 1)
+    return SpectralTensor2({key: BivarRat(c * red.num, red.den_pow)
+                            for key, c in casimir(alg).items()})
 
 
 def build_r(alg: LieAlgebraData, spec: CaseSpec, rk: RKind) -> SpectralTensor2:
@@ -206,9 +207,9 @@ def skew_spectral_check(r: SpectralTensor2) -> bool:
 # -- CYBE with spectral parameters -------------------------------------------
 
 def _factors(r: SpectralTensor2):
-    """(d, phi, T) with r = sum phi/(v - u)^d (x) T: phi a reduced row of the
-    span of class d's numerators, T[key] the entry's coefficient at phi's
-    pivot, scaled to coprime integers with the scale moved into phi."""
+    """(d, L, phi, T) with r = sum phi/(L (v - u)^d) (x) T: phi/L a reduced row
+    of the span of class d's numerators, phi in ints, T[key] the entry's coefficient
+    at the pivot, scaled to coprime integers with the scale moved into phi/L."""
     spans = {}
     for _, val in r.items():
         spans.setdefault(val.den_pow, RowSpan()).add(val.num)
@@ -217,12 +218,15 @@ def _factors(r: SpectralTensor2):
             t = {k: v.num[piv] for k, v in r.items() if v.den_pow == d and piv in v.num}
             s = Fraction(lcm(*(c.denominator for c in t.values())),
                          gcd(*(c.numerator for c in t.values())))
-            yield d, (1 / s) * phi, {k: (c * s).numerator for k, c in t.items()}
+            phi = (1 / s) * phi
+            big = lcm(*(c.denominator for c in phi.values()))
+            yield (d, big, {m: c.numerator * (big // c.denominator) for m, c in phi.items()},
+                   {k: (c * s).numerator for k, c in t.items()})
 
 
-def _on_legs(p: Sparse, a: int, lift: int) -> Sparse:
-    """p(x, y) (y - x)^lift, trivariate on the legs LEGS[a]; slot 2 - a stays 0."""
-    return Sparse({(*e[:2 - a], 0, *e[2 - a:]): c for e, c in mul_vu_pow(p, lift).items()})
+def _on_legs(p: dict, a: int, lift: int) -> dict:
+    """p(x, y) (y - x)^lift in ints, trivariate on the legs LEGS[a]; slot 2 - a stays 0."""
+    return {(*e[:2 - a], 0, *e[2 - a:]): c for e, c in mul_vu_pow(p, lift).items()}
 
 
 def cyb_spectral(alg, r: SpectralTensor2) -> Sparse:
@@ -230,7 +234,9 @@ def cyb_spectral(alg, r: SpectralTensor2) -> Sparse:
     (i, j, k, du, dv, dw) over (v-u)^a (w-u)^b (w-v)^c, each exponent the
     largest den_pow that meets a nonzero structure constant in that slot;
     zero exactly when CYB(r) is.  One integer constant bracket and one
-    trivariate product per pair of factors and CYBE term.
+    trivariate int product per pair of factors and CYBE term: each factor
+    is lifted by ``mul_vu_pow``'s binomial row, the product is over the two
+    factors' lcms, and the one denominator is the lcm of those.
 
     The products are summed packed: monomial m of any product is slot
     s(m), numbered as first met, and a product with integer coefficients
@@ -245,26 +251,25 @@ def cyb_spectral(alg, r: SpectralTensor2) -> Sparse:
     is unpacked."""
     facs = list(_factors(r))
     terms, common = [], [0, 0, 0]
-    for da, pa, ta in facs:
-        for db, pb, tb in facs:
+    for da, la, pa, ta in facs:
+        for db, lb, pb, tb in facs:
             for a, b in LEGS:
                 br, met = bracket3(alg, ta, tb, LEGS[a], LEGS[b])
                 if met:
                     common[a], common[b] = max(common[a], da), max(common[b], db)
                 if br:
-                    terms.append((br, a, da, pa, b, db, pb))
+                    terms.append((br, a, da, pa, b, db, pb, la * lb))
     # the common power of the slot a term leaves out: 3 - a - b for term (a, b)
-    fill = [_on_legs(Sparse({(0, 0): 1}), m, common[m]) for m in range(3)]
-    prods = [(br, poly_mul(poly_mul(_on_legs(pa, a, common[a] - da),
-                                    _on_legs(pb, b, common[b] - db)), fill[3 - a - b]))
-             for br, a, da, pa, b, db, pb in terms]
-    # summed as ints over one common denominator: Fraction only for what survives
-    den = lcm(*(c.denominator for _, p in prods for c in p.values()))
+    fill = [_on_legs({(0, 0): 1}, m, common[m]) for m in range(3)]
+    # int products over the product of their factors' lcms
+    prods = [(br, lab, poly_mul(poly_mul(_on_legs(pa, a, common[a] - da),
+                                         _on_legs(pb, b, common[b] - db)), fill[3 - a - b]))
+             for br, a, da, pa, b, db, pb, lab in terms]
+    den = lcm(*(d for _, d, _ in prods))
     # one int per product, one w-bit slot per monomial (see the docstring)
     slot, packed, bound = {}, [], 0
-    for br, prod in prods:
-        ints = [(slot.setdefault(mono, len(slot)), c.numerator * (den // c.denominator))
-                for mono, c in prod.items()]
+    for br, d, prod in prods:
+        ints = [(slot.setdefault(mono, len(slot)), c * (den // d)) for mono, c in prod.items()]
         packed.append((br, ints))
         bound += max(map(abs, br.values())) * sum(abs(c) for _, c in ints)
     w = bound.bit_length() + 1

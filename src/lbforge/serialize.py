@@ -121,7 +121,7 @@ def tensor_from_doc(doc, max_rank=None, max_degree=None):
             scale = parse_frac(entry.get("den_scale", "1"))
             if scale == 0:
                 raise MalformedInputError("zero denominator scale")
-            r.add_entry((i, j), bivar((1 / scale) * num, den_power))
+            r.add_entry((i, j), bivar(num if scale == 1 else (1 / scale) * num, den_power))
         return alg, r
     except MalformedInputError:
         raise

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 # decimal-free rational text: no exponent, point, underscore or whitespace
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _NATURAL = re.compile(r"[0-9]+")
 
 
@@ -31,9 +32,11 @@ def rational(text: str) -> Fraction:
     """The Fraction written [+-]digits[/digits]; ValueError for any other
     text or for more digits than int() converts, ZeroDivisionError for a
     zero denominator."""
-    if not _RATIONAL.fullmatch(text):
+    match = _RATIONAL.fullmatch(text)
+    if not match:
         raise ValueError(f"not a decimal-free rational: {text!r}")
-    return Fraction(text)
+    num, den = match.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def natural(text: str) -> int:
@@ -102,17 +105,19 @@ class Sparse(dict):
 def mono_mul(k1, k2):
     """Multiply monomial keys: exponents add componentwise."""
     if isinstance(k1, tuple):
-        return tuple(a + b for a, b in zip(k1, k2))
+        return tuple(map(add, k1, k2))
     return k1 + k2
 
 
-def poly_mul(p: Sparse, q: Sparse) -> Sparse:
-    """Product of two sparse polynomials with matching key shapes."""
-    out = Sparse()
+def poly_mul(p, q):
+    """Product of two sparse polynomials with matching key shapes, of p's
+    type: a ``Sparse``, or a dict of ints without zero terms."""
+    out = {}
     for k1, c1 in p.items():
         for k2, c2 in q.items():
-            out.iadd(mono_mul(k1, k2), c1 * c2)
-    return out
+            k = mono_mul(k1, k2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return type(p)((k, c) for k, c in out.items() if c)
 
 
 def gauss_solve(rows, rhs):

@@ -590,6 +590,25 @@ def test_verify_corrupted_coefficient(tmp_path, capsys):
     ]
 
 
+def test_verify_skew_across_a_wide_den_power_gap(tmp_path):
+    # F(1,2) (x) E(1,2) over (v - u)^2000 and its partner over (v - u): the
+    # partner is lifted by (v - u)^1999, one product with the binomial row
+    # (one factor at a time, this took minutes)
+    out = tmp_path / "r.json"
+    assert main(["build", "--algebra", "A:2", "--case", "I:constant", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    (entry,) = [e for e in doc["entries"] if (e["i"], e["j"]) == ("F(1,2)", "E(1,2)")]
+    entry["den_power"] = 2000
+    out.write_text(json.dumps(doc))
+    report = tmp_path / "rep.json"
+    start = time.perf_counter()
+    assert main(["verify", "--in", str(out), "--checks", "skew", "--out", str(report)]) == 1
+    assert time.perf_counter() - start < 10
+    assert json.loads(report.read_text()) == {"pass": False, "checks": [
+        {"check": "skew", "pass": False,
+         "witness": {"i": "E(1,2)", "j": "F(1,2)", "coefficient": "1"}}]}
+
+
 def test_verify_duality_names_first_differing_coefficient(tmp_path):
     out = build_file(tmp_path)
     doc = json.loads(out.read_text())

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from lbforge.errors import PoleAtZeroError
 from lbforge.ratfun import (
+    BivarRat,
     RatFun1,
     bivar,
     bivar_swap_vars,
     expand_at_zero,
+    mul_vu_pow,
     poly1,
     poly2,
     poly2_divide_vu,
@@ -165,3 +167,82 @@ def test_swap_vars():
     f = bivar(poly2({(1, 0): 1}), 1)  # u/(v-u)
     g = bivar_swap_vars(f)  # v/(u-v) = -v/(v-u)
     assert g == bivar(poly2({(0, 1): -1}), 1)
+
+
+# -- lowest terms against trial division --------------------------------------
+
+VU = poly2({(0, 1): 1, (1, 0): -1})  # v - u
+
+
+def trial_division_bivar(num: Sparse, den_pow: int) -> BivarRat:
+    """Lowest terms by trial division: divide by (v - u) while the
+    remainder vanishes.  The oracle of ``bivar``'s diagonal test."""
+    if num.is_zero():
+        return BivarRat(Sparse(), 0)
+    while den_pow > 0:
+        quot, rem = poly2_divide_vu(num)
+        if not rem.is_zero():
+            break
+        num = quot
+        den_pow -= 1
+    return BivarRat(num, den_pow)
+
+
+def times_vu(num: Sparse, m: int) -> Sparse:
+    """num * (v - u)^m, one factor at a time."""
+    for _ in range(m):
+        num = poly_mul(num, VU)
+    return num
+
+
+bivariate_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), fracs, max_size=5
+).map(Sparse)
+
+
+@given(bivariate_polys, st.integers(0, 3), st.integers(0, 4))
+def test_bivar_matches_trial_division(num, m, den_pow):
+    # a (v - u)^m factor, fewer, as many or more than the den_pow
+    num = times_vu(num, m)
+    got = bivar(num, den_pow)
+    want = trial_division_bivar(num, den_pow)
+    assert got == want
+    assert list(got.num) == list(want.num)
+
+
+def test_bivar_cancels_the_whole_power_and_stops():
+    # (v - u)^3 (u + 2v) over (v - u)^2 keeps one factor in the numerator
+    num = times_vu(poly2({(1, 0): 1, (0, 1): 2}), 3)
+    assert bivar(num, 2) == BivarRat(times_vu(poly2({(1, 0): 1, (0, 1): 2}), 1), 0)
+    # u v - u^2 + 1 is 1 on the diagonal: nothing cancels
+    assert bivar(poly2({(1, 1): 1, (2, 0): -1, (0, 0): 1}), 3).den_pow == 3
+    assert bivar(Sparse(), 5) == BivarRat(Sparse(), 0)
+
+
+@given(bivariate_polys, st.integers(0, 7))
+def test_mul_vu_pow_matches_repeated_products(num, extra):
+    assert mul_vu_pow(num, extra) == times_vu(num, extra)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.integers(-9, 9).filter(bool), max_size=5), st.integers(0, 7))
+def test_mul_vu_pow_keeps_int_coefficients(num, extra):
+    got = mul_vu_pow(num, extra)
+    assert type(got) is dict
+    assert all(type(c) is int and c for c in got.values())
+    assert Sparse(got) == times_vu(Sparse(num), extra)
+
+
+def test_mul_vu_pow_binomial_row():
+    # (v - u)^4 = v^4 - 4 u v^3 + 6 u^2 v^2 - 4 u^3 v + u^4
+    assert mul_vu_pow({(0, 0): 1}, 4) == {(0, 4): 1, (1, 3): -4, (2, 2): 6, (3, 1): -4, (4, 0): 1}
+    num = poly2({(1, 0): 3})
+    assert mul_vu_pow(num, 0) is num
+
+
+@given(bivariate_polys, st.integers(0, 5))
+def test_swap_vars_sign(num, den_pow):
+    f = BivarRat(num, den_pow)
+    swapped = Sparse({(b, a): c for (a, b), c in num.items()})
+    assert bivar_swap_vars(f) == BivarRat(Fraction(-1) ** den_pow * swapped, den_pow)
+    assert bivar_swap_vars(bivar_swap_vars(f)) == f

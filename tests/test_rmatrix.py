@@ -23,6 +23,7 @@ from lbforge.rmatrix import (
     sum_dual_series,
 )
 from lbforge.sparse import Sparse, poly_mul
+from test_ratfun import trial_division_bivar
 
 ALG = build_sl(2)
 ALL_CASES = [
@@ -141,6 +142,28 @@ def test_build_r_matches_paper_display(text, n):
         data = [RKind.skew(alg, r) for r in (Sparse(), jordanian(alg), jordanian(alg, (1, 2)))]
     for rk in data:
         assert build_r(alg, spec, rk) == paper_display(alg, spec, rk.value)
+
+
+KERNELS = ([{(0, 0): 1, (0, 1): -c1, (1, 0): -c2, (1, 1): c1 * c2} for c1, c2 in TWO_POINT_PAIRS]
+           + [kern for kern, _ in DISPLAYS.values()]
+           + [{(0, 0): 1, (1, 1): -1},  # the change-of-variable example's 1 - u v
+              {(0, 2): 1, (2, 0): -1}])  # v^2 - u^2, whose (v - u) cancels
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kern", KERNELS, ids=str)
+def test_kernel_tensor_matches_per_entry_reduction(kern, n):
+    # one reduction of num/(v - u), scaled by each Casimir coefficient,
+    # against each entry reduced on its own by trial division
+    alg = build_sl(n)
+    num = poly2(kern)
+    want = SpectralTensor2()
+    for key, c in casimir(alg).items():
+        want.add_entry(key, trial_division_bivar(c * num, 1))
+    got = kernel_tensor(alg, num)
+    assert got == want
+    assert list(got.entries) == list(want.entries)
+    assert all(list(v.num) == list(want.entries[k].num) for k, v in got.items())
 
 
 def test_quasi_trig_constant_block():
@@ -290,6 +313,42 @@ WIDE = st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool), st.integer
 @given(spectral_tensors(WIDE))
 def test_cyb_matches_oracle_on_wide_coefficients(case):
     assert_matches_oracle(*case)
+
+
+@st.composite
+def layered_tensors(draw):
+    """A random tensor over sl_2 or sl_3 whose entries have den_pow 0..5,
+    each with its own prime denominator, so the factors' lcms differ and
+    lifts of order up to 5 enter the products."""
+    alg = draw(st.sampled_from([ALG, build_sl(3)]))
+    keys = st.tuples(st.integers(0, alg.dim - 1), st.integers(0, alg.dim - 1))
+    monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    r = SpectralTensor2()
+    for key, p in zip(draw(st.lists(keys, min_size=1, max_size=5, unique=True)), (2, 3, 5, 7, 11)):
+        num = draw(st.dictionaries(monos, st.integers(-6, 6).filter(bool), min_size=1, max_size=3))
+        r.add_entry(key, bivar(Sparse({m: Fraction(c, p) for m, c in num.items()}),
+                               draw(st.integers(0, 5))))
+    return alg, r
+
+
+@settings(max_examples=40, deadline=None)
+@given(layered_tensors())
+def test_cyb_matches_oracle_on_layered_denominators(case):
+    assert_matches_oracle(*case)
+
+
+def test_cyb_matches_oracle_with_high_order_lifts():
+    # den_pows 0, 2 and 5 with denominators 3, 7 and 5: every slot's lift
+    # is of order 3 or 5 somewhere, over three different factor lcms
+    e, f, h = (ALG.basis.index(x) for x in ("E(1,2)", "F(1,2)", "H(1)"))
+    r = SpectralTensor2({
+        (e, f): bivar(poly2({(1, 0): Fraction(2, 3), (0, 2): Fraction(-1, 3)}), 5),
+        (f, e): bivar(poly2({(0, 0): Fraction(4, 7)}), 2),
+        (h, h): bivar(poly2({(1, 1): Fraction(1, 5), (0, 0): Fraction(-3, 5)}), 0),
+    })
+    got = assert_matches_oracle(ALG, r)
+    assert not got.is_zero()
+    assert cyb_oracle(ALG, r)[1] == (5, 5, 5)
 
 
 def test_cyb_coefficient_at_the_slot_bound():

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ def _load(name):
 
 axiom_sweep_script = _load("axiom_sweep")
 bench_compare_script = _load("bench_compare")
+bench_trajectory_script = _load("bench_trajectory")
 build_all_families_script = _load("build_all_families")
 
 
@@ -121,3 +123,58 @@ def test_bench_compare_reports_pair_ratios_and_base_spread():
     assert m["median_pair_ratio"] == pytest.approx(1.1)
     assert m["base_iqr_over_median"] == pytest.approx(2 / 3)
     assert bench_compare_script.compare(metric, base, runs([None] * 6)) is None
+
+
+def _report(base_commit, change_commit, base, change, ratio=None):
+    """A bench_compare report with one workload and wall_s alone."""
+    def side(values):
+        q1, med, q3 = sorted(values)[1], sorted(values)[2], sorted(values)[3]
+        return {"median": med, "q1": q1, "q3": q3, "values": values}
+
+    metric = {"base": side(base), "change": side(change)}
+    if ratio is not None:
+        metric["median_pair_ratio"] = ratio
+    return {"base_commit": base_commit, "change_commit": change_commit,
+            "workloads": {"cybe-rank": {"metrics": {"wall_s": metric}}}}
+
+
+def test_bench_trajectory_chains_medians_and_flags_host_drift():
+    reports = [
+        # pair ratios 0.5, 0.5, 0.5, 0.5, 0.6: none stored, so read from the values
+        ("BENCH_a.json", _report("a0", "a1", [2.0, 2.0, 2.0, 2.0, 2.0], [1.0, 1.0, 1.0, 1.0, 1.2])),
+        # same code as a1, base median 10% above a1's change median, spreads 0 and 2%
+        ("BENCH_b.json", _report("a1", "b1", [1.08, 1.1, 1.1, 1.12, 1.12], [0.9] * 5, ratio=0.8)),
+        # code changed since b1: the same jump is not the host's
+        ("BENCH_c.json", _report("c0", "c1", [1.0] * 5, [1.0] * 5, ratio=1.0)),
+    ]
+    same = {("a1", "a1"): True, ("b1", "c0"): False}
+    rows = bench_trajectory_script.chain(reports, "cybe-rank", "wall_s", lambda o, n: same[o, n])
+    assert [(r["report"], r["base"], r["change"]) for r in rows] == [
+        ("BENCH_a.json", 2.0, 1.0), ("BENCH_b.json", 1.1, 0.9), ("BENCH_c.json", 1.0, 1.0)]
+    assert [r["ratio"] for r in rows] == pytest.approx([0.5, 0.8, 1.0])
+    assert rows[0]["drift"] is None and not rows[0]["host_drift"]
+    assert rows[1]["drift"] == pytest.approx(0.1) and rows[1]["host_drift"]
+    assert rows[2]["drift"] == pytest.approx(1.0 / 0.9 - 1) and not rows[2]["host_drift"]
+    # a drift inside the quartile spread is noise, even on the same code
+    noisy = [reports[0], ("BENCH_b.json", _report("a1", "b1", [0.8, 0.9, 1.1, 1.3, 1.4], [1.0] * 5))]
+    assert not bench_trajectory_script.chain(noisy, "cybe-rank", "wall_s", lambda o, n: True)[1]["host_drift"]
+    # a metric no report holds gives no rows, and render prints the chain
+    assert bench_trajectory_script.chain(reports, "cybe-rank", "job_p50_s") == []
+    lines = bench_trajectory_script.render(reports, lambda o, n: same[o, n])
+    assert lines[0] == "cybe-rank wall_s"
+    assert lines[1].split() == ["BENCH_a.json", "2.0000", "->", "1.0000", "pair", "ratio", "0.500"]
+    assert lines[2].split() == ["drift", "+10.0%", "HOST", "DRIFT"]
+    assert lines[4].split() == ["drift", "+11.1%"]
+    assert len(lines) == 6
+
+
+def test_bench_trajectory_reads_the_committed_reports(capsys):
+    shallow = subprocess.run(["git", "rev-parse", "--is-shallow-repository"], cwd=SCRIPTS,
+                             capture_output=True, text=True, check=False).stdout.strip()
+    if shallow != "false":
+        pytest.skip("needs the repository's full git history")
+    assert bench_trajectory_script.main([]) == 0
+    out = capsys.readouterr().out
+    assert "cybe-rank wall_s" in out and "BENCH_packed_cyb.json" in out
+    # git's add order: the packed CYB report came before the one-table report
+    assert out.index("BENCH_packed_cyb.json") < out.index("BENCH_one_table.json")
