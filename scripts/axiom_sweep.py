@@ -30,7 +30,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--algebra", default="2", help="n of sl_n")
     parser.add_argument("--degree", default=None, help="sweep degree cap")
-    parser.add_argument("--cocycle-degree", default="2")
+    parser.add_argument("--cocycle-degree", default="2",
+                        help="degree cap of the cocycle pairs; clamped to --degree")
     parser.add_argument("--out", default="axiom_sweep.json")
     args = parser.parse_args(argv)
     try:

@@ -26,7 +26,6 @@ from .rmatrix import (
     cyb_spectral,
     expand_region,
     skew_residual,
-    skew_spectral_check,
     sum_dual_series,
 )
 from .sparse import Sparse, natural, rational
@@ -164,11 +163,12 @@ def _check_cybe(alg, r, spec, args):
 
 
 def _check_skew(alg, r, spec, args):
-    if skew_spectral_check(r):
+    residual = skew_residual(r)
+    if residual.is_zero():
         return True, None
     terms = (
         (key + mono, c)
-        for key, val in skew_residual(r).items()
+        for key, val in residual.items()
         for mono, c in val.num.items()
     )
     return False, _witness(alg, terms, 2)

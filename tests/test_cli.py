@@ -609,6 +609,31 @@ def test_verify_skew_across_a_wide_den_power_gap(tmp_path):
          "witness": {"i": "E(1,2)", "j": "F(1,2)", "coefficient": "1"}}]}
 
 
+@pytest.mark.parametrize("den_power, code", [(1, 0), (3, 1)], ids=["passing", "failing"])
+def test_verify_skew_forms_one_residual(tmp_path, monkeypatch, den_power, code):
+    # the verdict and the witness read one residual, wherever it is formed
+    from lbforge import rmatrix
+
+    calls = []
+    original = rmatrix.skew_residual
+
+    def counting(r):
+        calls.append(r)
+        return original(r)
+
+    monkeypatch.setattr(rmatrix, "skew_residual", counting)
+    monkeypatch.setattr(cli, "skew_residual", counting)
+    out = tmp_path / "r.json"
+    assert main(["build", "--algebra", "A:2", "--case", "I:constant", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    (entry,) = [e for e in doc["entries"] if (e["i"], e["j"]) == ("F(1,2)", "E(1,2)")]
+    entry["den_power"] = den_power
+    out.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(out), "--checks", "skew",
+                 "--out", str(tmp_path / "rep.json")]) == code
+    assert len(calls) == 1
+
+
 def test_verify_duality_names_first_differing_coefficient(tmp_path):
     out = build_file(tmp_path)
     doc = json.loads(out.read_text())

@@ -9,18 +9,21 @@ import lbforge.cobracket
 from lbforge.errors import InvalidParameterError, NotPolynomialError
 from lbforge.cobracket import (
     BasisCobrackets,
+    _ad_into,
     axiom_sweep,
     bracket_poly,
     check_cocycle,
     check_cojacobi,
     check_skew,
     delta,
+    sweep_degrees,
 )
-from lbforge.liealg import basis_element, build_sl, jordanian
+from lbforge.liealg import basis_element, build_sl, jordanian, r_dj, wedge_sum
 from lbforge.lagrangian import catalog_w0
 from lbforge.pairing import CaseSpec
 from lbforge.ratfun import bivar, poly2
 from lbforge.rmatrix import (
+    MCYBE,
     RKind,
     SpectralTensor2,
     build_r,
@@ -312,6 +315,23 @@ def test_sweep_rejects_negative_degrees(max_degree, cocycle_degree):
         axiom_sweep(ALG, "I:constant", YANG, max_degree, cocycle_degree)
 
 
+def test_sweep_clamps_the_cocycle_degree(monkeypatch):
+    # the cocycle pairs the sweep's generators, whose degrees stop at
+    # max_degree: a larger cocycle_degree checks the same pairs and packs
+    # no cobracket of a higher degree
+    assert sweep_degrees(1, 4) == (1, 1)
+    assert sweep_degrees(3) == (3, 3) and sweep_degrees(3, 2) == (3, 2)
+    r = _two_points(ALG, "I:two-points:1,2")
+    runs = []
+    for cocycle_degree in (1, 4):
+        keys = _count_delta(monkeypatch)
+        runs.append((axiom_sweep(ALG, "I:two-points:1,2", r, 1, cocycle_degree), len(keys)))
+    (records, calls), (clamped, clamped_calls) = runs
+    assert clamped == records
+    assert sum(rec["check"] == "cocycle" for rec in records) == (2 * ALG.dim) ** 2
+    assert clamped_calls == calls
+
+
 def _count_delta(monkeypatch):
     keys = []
     original = lbforge.cobracket.delta
@@ -548,3 +568,144 @@ def test_ad_table_cocycle_matches_direct():
             assert check_cocycle(ALG3, r, g, f) is ok
             verdicts.append(ok)
     assert True in verdicts and False in verdicts
+
+
+# -- the packed cocycle ---------------------------------------------------------
+
+def _unit_pairs(alg, degree):
+    gens = [{(i, k): 1} for k in range(degree + 1) for i in range(alg.dim)]
+    return [(f, g) for a, f in enumerate(gens) for g in gens[a:]]
+
+
+def test_cocycle_records_do_not_certify_r():
+    # a constant part that solves nothing (CYB != 0, r + r21 != Omega):
+    # delta is still a coboundary, so every cocycle identity holds, on the
+    # packed and on the direct path alike, while skew and co-Jacobi fail
+    rng = random.Random(27)
+    part = Sparse({(i, j): Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                   for i in range(ALG3.dim) for j in range(ALG3.dim)})
+    spec = CaseSpec.parse("I:two-points:1,2")
+    r = build_r(ALG3, spec, RKind(MCYBE, r_dj(ALG3) + part))
+    records = axiom_sweep(ALG3, "random part", r, 1)
+    verdicts = {}
+    for rec in records:
+        verdicts.setdefault(rec["check"], []).append(rec["pass"])
+    assert len(verdicts["cocycle"]) == (2 * ALG3.dim) ** 2 and all(verdicts["cocycle"])
+    assert all(verdicts["polynomial"])
+    assert not any(verdicts["skew"]) and not any(verdicts["co-jacobi"])
+    assert all(check_cocycle(ALG3, r, f, g) for f, g in _unit_pairs(ALG3, 1))
+    # r_DJ + 1/2 wedge_sum keeps r + r21 = Omega (skew holds) but not CYB
+    r = build_r(ALG3, spec, RKind(MCYBE, r_dj(ALG3) + Fraction(1, 2) * wedge_sum(ALG3)))
+    records = axiom_sweep(ALG3, "wedge", r, 1)
+    assert all(rec["pass"] for rec in records if rec["check"] in ("cocycle", "skew"))
+    assert not all(rec["pass"] for rec in records if rec["check"] == "co-jacobi")
+
+
+def _tamper(memo, keys, how, rng):
+    """Replace the memo's basis cobrackets at ``keys``: a coefficient moved
+    by +-1 or by up to 10^40, a monomial added at raised exponents, or None."""
+    for key in keys:
+        t = memo.basis(key)
+        if how == "none" or not t:
+            memo._memo[key] = None
+            continue
+        t = dict(t)
+        mono = rng.choice(sorted(t))
+        if how == "coefficients":
+            step = rng.choice([1, -1, rng.randint(-10**40, 10**40)])
+            t[mono] = t[mono] + step or 1
+        else:
+            i, j, a, b = mono
+            t[i, j, a + rng.randint(0, 3), b + rng.randint(1, 4)] = rng.choice([-1, 1, 7, -10**40])
+        memo._memo[key] = t
+
+
+def _identity(alg, memo, f, g):
+    """D = delta([f, g]) - f.delta(g) + g.delta(f) from the memo's dicts,
+    None when a cobracket it needs is not polynomial."""
+    df, dg, lhs = memo(f), memo(g), memo(bracket_poly(alg, f, g))
+    if df is None or dg is None or lhs is None:
+        return None
+    out = dict(lhs)
+    _ad_into(alg, out, f, dg, -1)
+    _ad_into(alg, out, g, df, 1)
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("how", ["coefficients", "monomials", "none"])
+def test_packed_cocycle_matches_dict_on_tampered_memos(how):
+    rng = random.Random(f"packed {how}")
+    verdicts = []
+    for alg, text, degree in ((ALG, "I:two-points:1,2", 2), (ALG3, "I:two-points:3/4,-8/3", 1)):
+        r = _two_points(alg, text)
+        for _ in range(3):
+            memo = BasisCobrackets(alg, r)
+            keys = [(i, d) for d in range(2 * degree + 1) for i in range(alg.dim)]
+            _tamper(memo, rng.sample(keys, 2), how, rng)
+            memo.pack(degree)
+            shift_u, w = memo.shifts
+            # a plain function is no BasisCobrackets: the dict comparison
+            as_dicts = lambda f, memo=memo: memo(f)  # noqa: E731
+            for f, g in _unit_pairs(alg, degree):
+                ok = check_cocycle(alg, r, f, g, cobracket=memo)
+                assert ok is check_cocycle(alg, r, f, g, cobracket=as_dicts), (f, g)
+                # the hypotheses of the packed check's exactness hold on D
+                d = _identity(alg, memo, f, g)
+                assert ok is (d == {})
+                if d:
+                    assert max(map(abs, d.values())) < 2 ** (w - 1)
+                    assert max(b for (*_, b) in d) < shift_u // w
+                verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+
+
+def test_packed_cobrackets_unpack_to_the_dicts():
+    # balanced base-2^w digits, read back slot by slot: u^a v^b sits in slot a B + b
+    r = _two_points(ALG3, "I:two-points:1,2")
+    memo = BasisCobrackets(ALG3, r)
+    memo.pack(2)
+    shift_u, w = memo.shifts
+    slots = shift_u // w
+    for key in [(i, d) for d in range(5) for i in range(ALG3.dim)]:
+        unpacked = {}
+        for (i, j), p in memo.packed[key].items():
+            s = 0
+            while p:
+                digit = p % (1 << w)
+                if digit >= 1 << (w - 1):
+                    digit -= 1 << w
+                if digit:
+                    unpacked[i, j, *divmod(s, slots)] = digit
+                p, s = (p - digit) >> w, s + 1
+        assert unpacked == memo.basis(key), key
+
+
+def test_packed_cocycle_takes_only_packed_unit_pairs(monkeypatch):
+    packed = []
+    original = lbforge.cobracket._packed_cocycle
+
+    def counting(*args):
+        packed.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lbforge.cobracket, "_packed_cocycle", counting)
+    r = _two_points(ALG3, "I:two-points:1,2")
+    memo = BasisCobrackets(ALG3, r)
+    unit = {(0, 1): 1}
+    assert check_cocycle(ALG3, r, unit, {(3, 0): 1}, cobracket=memo)
+    assert not packed  # not packed yet
+    memo.pack(1)
+    for g, takes_packed in [
+        ({(3, 0): 1}, True),
+        ({(3, 1): Fraction(1)}, True),
+        ({(3, 0): 1, (4, 1): 1}, False),  # a general element
+        ({(3, 0): 2}, False),  # a coefficient other than 1
+        ({(3, 2): 1}, False),  # a degree above the packed range
+    ]:
+        packed.clear()
+        ok = check_cocycle(ALG3, r, unit, g, cobracket=memo)
+        assert bool(packed) is takes_packed, g
+        assert ok is check_cocycle(ALG3, r, unit, g) is True
+    packed.clear()
+    assert check_cocycle(ALG3, r, unit, {(3, 0): 1})  # the direct path
+    assert not packed
