@@ -3,6 +3,15 @@
 All numbers travel as decimal-free "num/den" strings, so serialization
 round-trips bit-exactly.  Entry lists are sorted on basis labels and
 exponents, which makes the output byte-stable across runs.
+
+``dump`` writes the JSON subset these documents hold: dicts with str keys,
+lists and tuples, str, int, True, False and None.  Its text is byte for byte
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline; any other value
+(a float, a Fraction) or key raises TypeError.  It does not call
+``json.dumps``, whose C encoder serves only ``indent=None``: with an indent
+json encodes in pure Python, one generator per container.  The writer
+appends to one list and joins it once; strings go through json's C
+``encode_basestring_ascii``.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ def frac_str(x) -> str:
     """x as "num/den"; a numerator or denominator longer than Python
     converts to text (sys.get_int_max_str_digits) cannot be written."""
     try:
-        return str(Fraction(x))
+        return str(x) if type(x) is int or type(x) is Fraction else str(Fraction(x))
     except ValueError as exc:
         raise MalformedInputError(f"result too long to write: {exc}") from exc
 
@@ -169,8 +178,54 @@ def wpresentation_to_doc(alg, w) -> dict:
     }
 
 
+_quote = json.encoder.encode_basestring_ascii  # C in CPython
+
+
+def _write(x, out: list, indent: str) -> None:
+    """Append the indent-2 JSON text of x, nested at ``indent``, to out."""
+    t = type(x)
+    if t is str:
+        out.append(_quote(x))
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif not x and (t is dict or t is list or t is tuple):
+        out.append("{}" if t is dict else "[]")
+    elif t is dict:
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(x):
+            if type(key) is not str:
+                raise TypeError(f"cannot write a {type(key).__name__} key")
+            out.append(sep + _quote(key) + ": ")
+            _write(x[key], out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif t is list or t is tuple:
+        inner = indent + "  "
+        leaves = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else None
+                  for v in x]
+        if None not in leaves:
+            out.append("[\n" + inner + (",\n" + inner).join(leaves) + "\n" + indent + "]")
+            return
+        sep = "[\n" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"cannot write a {t.__name__}")
+
+
 def dump(doc, path=None) -> str:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """doc as ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline
+    (see the module docstring), also written to ``path`` if given."""
+    out = []
+    _write(doc, out, "")
+    out.append("\n")
+    text = "".join(out)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
