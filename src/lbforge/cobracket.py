@@ -263,7 +263,7 @@ def check_cocycle(alg, r, f, g, cobracket=None) -> bool:
     if isinstance(cobracket, BasisCobrackets):
         kf, kg = cobracket.packed_key(f), cobracket.packed_key(g)
         if kf is not None and kg is not None:
-            return _packed_cocycle(alg, cobracket, kf, kg)
+            return _packed_cocycle(alg, cobracket, f, g, kf, kg)
     df, dg = cobracket(f), cobracket(g)
     if df is None or dg is None:
         return False
@@ -290,22 +290,22 @@ def _packed_ad_into(rows, out: dict, t: dict, sign: int, shift_u: int, shift_v: 
                 out[i, m] = out.get((i, m), 0) + s * pv
 
 
-def _packed_cocycle(alg, cobracket, kf, kg) -> bool:
+def _packed_cocycle(alg, cobracket, f, g, kf, kg) -> bool:
     """``check_cocycle`` of f = x_i u^k, g = x_j u^l ((i, k) = kf,
     (j, l) = kg) on the packed basis cobrackets of ``cobracket``."""
     pf, pg = cobracket.packed[kf], cobracket.packed[kg]
     if pf is None or pg is None:
         return False
-    (i, k), (j, l) = kf, kg
-    # [f, g] = sum of s x_m u^(k + l) over the int row alg.ad[i][j]
     total = {}
-    for m, s in alg.ad[i][j]:
-        p = cobracket.packed[m, k + l]
+    for key, c in bracket_poly(alg, f, g).items():
+        p = cobracket.packed[key]
         if p is None:
             return False
+        c = _exact(c)
         for legs, x in p.items():
-            total[legs] = total.get(legs, 0) + s * x
+            total[legs] = total.get(legs, 0) + c * x
     shift_u, shift_v = cobracket.shifts
+    (i, k), (j, l) = kf, kg
     _packed_ad_into(alg.ad[i], total, pg, -1, shift_u * k, shift_v * k)
     _packed_ad_into(alg.ad[j], total, pf, 1, shift_u * l, shift_v * l)
     return not any(total.values())

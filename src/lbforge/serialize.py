@@ -204,11 +204,6 @@ def _write(x, out: list, indent: str) -> None:
         out.append("\n" + indent + "}")
     elif t is list or t is tuple:
         inner = indent + "  "
-        leaves = [_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else None
-                  for v in x]
-        if None not in leaves:
-            out.append("[\n" + inner + (",\n" + inner).join(leaves) + "\n" + indent + "]")
-            return
         sep = "[\n" + inner
         for v in x:
             out.append(sep)

@@ -371,33 +371,26 @@ def test_sweep_lifts_r_once(monkeypatch):
 
 @pytest.mark.parametrize("cocycle_degree", [0, 1, 2])
 def test_sweep_checks_each_unordered_pair_once(monkeypatch, cocycle_degree):
-    calls, packed, brackets = [], [], []
-    check, pack = lbforge.cobracket.check_cocycle, lbforge.cobracket._packed_cocycle
-    bracket = lbforge.cobracket.bracket_poly
+    calls, brackets = [], []
+    check, bracket = lbforge.cobracket.check_cocycle, lbforge.cobracket.bracket_poly
 
     def counting_check(alg, r, f, g, **kwargs):
         calls.append((tuple(f), tuple(g)))
         return check(alg, r, f, g, **kwargs)
-
-    def counting_pack(*args):
-        packed.append(None)
-        return pack(*args)
 
     def counting_bracket(alg, f, g):
         brackets.append(None)
         return bracket(alg, f, g)
 
     monkeypatch.setattr(lbforge.cobracket, "check_cocycle", counting_check)
-    monkeypatch.setattr(lbforge.cobracket, "_packed_cocycle", counting_pack)
     monkeypatch.setattr(lbforge.cobracket, "bracket_poly", counting_bracket)
     r = _two_points(ALG, "I:two-points:1,2")
     records = axiom_sweep(ALG, "I:two-points:1,2", r, 2, cocycle_degree)
     m = ALG.dim * (cocycle_degree + 1)
     assert sum(rec["check"] == "cocycle" for rec in records) == m * m
     assert len(calls) == len(set(calls)) == m * (m + 1) // 2
-    # one packed delta([f, g]) per check: no second one for the order (g, f);
-    # the packed check reads [f, g] off alg.ad, never through bracket_poly
-    assert len(packed) == len(calls) and brackets == []
+    # one delta([f, g]) per check: no second bracket for the order (g, f)
+    assert len(brackets) == len(calls)
 
 
 def test_direct_checks_fail_a_non_polynomial_cobracket():

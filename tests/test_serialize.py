@@ -35,7 +35,7 @@ def containers(children):
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.dictionaries(text, children, max_size=5),
-        # a list of only str and int items, which the writer joins at once
+        # a list of only str and int items, like the CLI's triples and monomials
         st.lists(st.one_of(ints, text), max_size=5),
     )
 
